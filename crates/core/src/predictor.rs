@@ -319,8 +319,8 @@ impl Predictor {
     ///
     /// Tree- and forest-backed predictors walk a compiled flattened model
     /// ([`FlatTree`]/[`FlatForest`]) over one contiguous feature buffer —
-    /// no per-record row allocation, no pointer chasing — using the
-    /// chunked level-order walk ([`bagpred_ml::LANES`] records in flight
+    /// no per-record row allocation, no pointer chasing — walking full
+    /// chunks with the lane walk ([`bagpred_ml::LANES`] records in flight
     /// per loop iteration, branchless conditional-move descent), which is
     /// what makes serve-side batching semantic instead of structural and
     /// batch predicts several times faster than per-record calls. Results

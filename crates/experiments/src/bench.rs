@@ -3,7 +3,7 @@
 //! `repro bench` times the stages the flattened-tree and parallel-training
 //! work targets:
 //!
-//! * corpus measurement, serial vs. parallel ([`bagpred_core::parallel`]);
+//! * cold corpus measurement (the per-phase breakdown only);
 //! * cold model training (tree and forest);
 //! * leave-one-benchmark-out cross-validation, serial vs. parallel;
 //! * single-record `predict` vs. flattened `predict_batch` on a large
@@ -73,10 +73,6 @@ pub struct BenchReport {
     pub corpus_bags: usize,
     /// Records in the cycled prediction batch.
     pub batch_records: usize,
-    /// Corpus measurement wall time, one worker, milliseconds.
-    pub corpus_measure_serial_ms: f64,
-    /// Corpus measurement wall time, `threads` workers, milliseconds.
-    pub corpus_measure_parallel_ms: f64,
     /// Cold decision-tree training, milliseconds.
     pub train_tree_ms: f64,
     /// Cold random-forest training, milliseconds.
@@ -101,9 +97,9 @@ pub struct BenchReport {
     pub forest_batch_speedup: f64,
     /// Per-record cost of the scalar pre-order strided walk
     /// ([`FlatTree::predict_strided_preorder`]) — the committed batch
-    /// baseline the chunked level-order walk is gated against.
+    /// baseline the chunked lane walk is gated against.
     pub flat_simd_tree_preorder_ns_per_record: f64,
-    /// Per-record cost of the chunked level-order strided walk
+    /// Per-record cost of the chunked lane strided walk
     /// ([`FlatTree::predict_strided`], [`bagpred_ml::LANES`]
     /// records in flight).
     pub flat_simd_tree_ns_per_record: f64,
@@ -113,15 +109,12 @@ pub struct BenchReport {
     /// Per-record cost of the forest's tree-major pre-order strided walk
     /// ([`FlatForest::predict_strided_preorder`]).
     pub flat_simd_forest_preorder_ns_per_record: f64,
-    /// Per-record cost of the forest's chunk-major level-order strided
+    /// Per-record cost of the forest's chunk-major lane strided
     /// walk ([`FlatForest::predict_strided`]). `scripts/verify.sh` gates
     /// the speedup over the pre-order walk at ≥ 2x.
     pub flat_simd_forest_ns_per_record: f64,
     /// `flat_simd_forest_preorder / flat_simd_forest`.
     pub flat_simd_forest_speedup: f64,
-    /// Per-record cost of the forest's f32-quantized chunked walk
-    /// ([`FlatForest::predict_strided_quantized`]).
-    pub flat_simd_forest_quantized_ns_per_record: f64,
     /// Per-phase timing breakdown: every run of every stage recorded
     /// through the same [`LogHistogram`] the serving layer uses, stable
     /// order.
@@ -135,11 +128,9 @@ pub struct BenchReport {
     /// engine adds to every matched outcome report: APE arithmetic plus
     /// a handful of relaxed atomic updates and two histogram records.
     pub obs_outcome_record_ns: f64,
-    /// The serving layer's protocol and isolation measurements
-    /// ([`crate::servebench`]): binary-vs-text codec cost (gated at
-    /// 1.5x by `scripts/verify.sh`), end-to-end loopback latency, and
-    /// the fast model's p99 next to a deliberately slowed peer with and
-    /// without per-model sharding.
+    /// The serving layer's measurements ([`crate::servebench`]):
+    /// binary-vs-text codec cost (gated at 1.5x by `scripts/verify.sh`),
+    /// the outcome and cancel roundtrips, and hedged tail latency.
     pub serve: crate::servebench::ServeBench,
 }
 
@@ -223,7 +214,7 @@ pub fn run(options: &BenchOptions) -> BenchReport {
     let platforms = Platforms::paper();
     let corpus = bench_corpus(smoke);
     let threads = parallel::configured_threads();
-    let (measure_runs, train_runs, predict_runs) = if smoke { (1, 2, 3) } else { (2, 3, 7) };
+    let (train_runs, predict_runs) = if smoke { (2, 3) } else { (3, 7) };
     let batch_records = if smoke { 256 } else { 1000 };
 
     // Per-phase histograms: the same lock-free type the serving layer
@@ -237,13 +228,9 @@ pub fn run(options: &BenchOptions) -> BenchReport {
     let predict_single_hist = LogHistogram::new();
     let predict_batch_hist = LogHistogram::new();
 
-    let corpus_measure_serial = time_best_recorded(measure_runs, &measure_hist, || {
-        corpus.measure_on_threads(&platforms, 1)
-    });
-    let corpus_measure_parallel = time_best_recorded(measure_runs, &measure_hist, || {
-        corpus.measure_on_threads(&platforms, threads)
-    });
+    let start = Instant::now();
     let records = corpus.measure_on(&platforms);
+    measure_hist.record_duration(start.elapsed());
 
     let train_tree = time_best_recorded(train_runs, &train_tree_hist, || {
         let mut p = Predictor::new(FeatureSet::full());
@@ -314,8 +301,7 @@ pub fn run(options: &BenchOptions) -> BenchReport {
 
     // Flat-traversal shoot-out: the same fitted models compiled to flat
     // form, walked over one full-width strided buffer — the scalar
-    // pre-order baseline against the chunked level-order walk (and the
-    // forest's f32-quantized lane). Both sides of each speedup are
+    // pre-order baseline against the 16-lane chunked walk. Both sides of each speedup are
     // measured in this run on this machine, so the ratio is meaningful
     // even where absolute rates are not.
     let flat_tree =
@@ -377,11 +363,6 @@ pub fn run(options: &BenchOptions) -> BenchReport {
         flat_forest.predict_strided(&flat_buf, width, &mut scratch);
         scratch.last().copied()
     });
-    let flat_forest_quantized = time_best_recorded(predict_runs, &predict_batch_hist, || {
-        scratch.clear();
-        flat_forest.predict_strided_quantized(&flat_buf, width, &mut scratch);
-        scratch.last().copied()
-    });
 
     let obs_batch_overhead_percent = obs_overhead(&tree, &batch, 400);
     let obs_outcome_record = obs_outcome_record_ns(if smoke { 200_000 } else { 1_000_000 });
@@ -401,8 +382,6 @@ pub fn run(options: &BenchOptions) -> BenchReport {
         threads,
         corpus_bags: corpus.bags().len(),
         batch_records,
-        corpus_measure_serial_ms: ms(corpus_measure_serial),
-        corpus_measure_parallel_ms: ms(corpus_measure_parallel),
         train_tree_ms: ms(train_tree),
         train_forest_ms: ms(train_forest),
         loocv_serial_ms: ms(loocv_serial),
@@ -421,10 +400,6 @@ pub fn run(options: &BenchOptions) -> BenchReport {
         flat_simd_forest_ns_per_record: flat_forest_level_ns,
         flat_simd_forest_speedup: flat_forest_preorder_ns
             / flat_forest_level_ns.max(f64::MIN_POSITIVE),
-        flat_simd_forest_quantized_ns_per_record: ns_per_record(
-            flat_forest_quantized,
-            batch_records,
-        ),
         stages: vec![
             StageStat::of("measure_corpus", &measure_hist),
             StageStat::of("train_tree", &train_tree_hist),
@@ -526,15 +501,10 @@ impl BenchReport {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
         out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        let numbers: [(&str, f64); 23] = [
+        let numbers: [(&str, f64); 20] = [
             ("threads", self.threads as f64),
             ("corpus_bags", self.corpus_bags as f64),
             ("batch_records", self.batch_records as f64),
-            ("corpus_measure_serial_ms", self.corpus_measure_serial_ms),
-            (
-                "corpus_measure_parallel_ms",
-                self.corpus_measure_parallel_ms,
-            ),
             ("train_tree_ms", self.train_tree_ms),
             ("train_forest_ms", self.train_forest_ms),
             ("loocv_serial_ms", self.loocv_serial_ms),
@@ -570,10 +540,6 @@ impl BenchReport {
                 self.flat_simd_forest_ns_per_record,
             ),
             ("flat_simd_forest_speedup", self.flat_simd_forest_speedup),
-            (
-                "flat_simd_forest_quantized_ns_per_record",
-                self.flat_simd_forest_quantized_ns_per_record,
-            ),
         ];
         for (key, value) in numbers.iter() {
             if key.starts_with("threads")
@@ -593,7 +559,7 @@ impl BenchReport {
                 stage.samples, stage.p50_us, stage.p95_us, stage.max_us,
             ));
         }
-        let serve_keys: [(&str, f64); 13] = [
+        let serve_keys: [(&str, f64); 8] = [
             (
                 "serve_text_protocol_ns_per_request",
                 self.serve.text_protocol_ns_per_request,
@@ -603,23 +569,6 @@ impl BenchReport {
                 self.serve.binary_protocol_ns_per_request,
             ),
             ("serve_protocol_speedup", self.serve.protocol_speedup),
-            ("serve_text_ns_per_request", self.serve.text_ns_per_request),
-            (
-                "serve_binary_ns_per_request",
-                self.serve.binary_ns_per_request,
-            ),
-            (
-                "serve_isolation_baseline_p99_us",
-                self.serve.isolation_baseline_p99_us,
-            ),
-            (
-                "serve_isolation_sharded_p99_us",
-                self.serve.isolation_sharded_p99_us,
-            ),
-            (
-                "serve_isolation_unsharded_p99_us",
-                self.serve.isolation_unsharded_p99_us,
-            ),
             (
                 "serve_obs_outcome_roundtrip_us",
                 self.serve.obs_outcome_roundtrip_us,
@@ -661,10 +610,6 @@ impl BenchReport {
             self.threads,
         ));
         out.push_str(&format!(
-            "  corpus measure    serial {:>9.1} ms   parallel {:>9.1} ms\n",
-            self.corpus_measure_serial_ms, self.corpus_measure_parallel_ms
-        ));
-        out.push_str(&format!(
             "  cold train        tree   {:>9.1} ms   forest   {:>9.1} ms\n",
             self.train_tree_ms, self.train_forest_ms
         ));
@@ -689,11 +634,10 @@ impl BenchReport {
             self.flat_simd_tree_speedup
         ));
         out.push_str(&format!(
-            "  flat forest strided preorder {:>3.1} ns/rec  chunked {:>7.1} ns/rec  speedup {:>5.2}x  (f32 lane {:.1} ns/rec)\n",
+            "  flat forest strided preorder {:>3.1} ns/rec  chunked {:>7.1} ns/rec  speedup {:>5.2}x\n",
             self.flat_simd_forest_preorder_ns_per_record,
             self.flat_simd_forest_ns_per_record,
             self.flat_simd_forest_speedup,
-            self.flat_simd_forest_quantized_ns_per_record
         ));
         out.push_str("  stage breakdown (all runs, us):\n");
         for stage in &self.stages {
@@ -715,17 +659,6 @@ impl BenchReport {
             self.serve.text_protocol_ns_per_request,
             self.serve.binary_protocol_ns_per_request,
             self.serve.protocol_speedup,
-        ));
-        out.push_str(&format!(
-            "  serve end-to-end  text   {:>9.1} ns/req  binary {:>8.1} ns/req (loopback TCP)\n",
-            self.serve.text_ns_per_request, self.serve.binary_ns_per_request,
-        ));
-        out.push_str(&format!(
-            "  serve isolation   fast-model p99: baseline {} us, sharded+slow-peer {} us, \
-             unsharded+slow-peer {} us\n",
-            self.serve.isolation_baseline_p99_us,
-            self.serve.isolation_sharded_p99_us,
-            self.serve.isolation_unsharded_p99_us,
         ));
         out.push_str(&format!(
             "  serve hedging     stalled-model p99: unhedged {} us, hedged {} us \
@@ -835,8 +768,6 @@ mod tests {
             threads: 2,
             corpus_bags: 27,
             batch_records: 256,
-            corpus_measure_serial_ms: 100.0,
-            corpus_measure_parallel_ms: 60.0,
             train_tree_ms: 5.0,
             train_forest_ms: 50.0,
             loocv_serial_ms: 80.0,
@@ -854,7 +785,6 @@ mod tests {
             flat_simd_forest_preorder_ns_per_record: 300.0,
             flat_simd_forest_ns_per_record: 100.0,
             flat_simd_forest_speedup: 3.0,
-            flat_simd_forest_quantized_ns_per_record: 90.0,
             stages: vec![StageStat {
                 name: "loocv_fold",
                 samples: 9,
@@ -868,11 +798,6 @@ mod tests {
                 text_protocol_ns_per_request: 900.0,
                 binary_protocol_ns_per_request: 300.0,
                 protocol_speedup: 3.0,
-                text_ns_per_request: 60_000.0,
-                binary_ns_per_request: 55_000.0,
-                isolation_baseline_p99_us: 250.0,
-                isolation_sharded_p99_us: 400.0,
-                isolation_unsharded_p99_us: 6000.0,
                 obs_outcome_roundtrip_us: 70.0,
                 hedge_unhedged_p99_us: 50_000.0,
                 hedge_hedged_p99_us: 10_000.0,
@@ -896,10 +821,6 @@ mod tests {
         );
         assert_eq!(json_number(&json, "flat_simd_forest_speedup"), Some(3.0));
         assert_eq!(
-            json_number(&json, "flat_simd_forest_quantized_ns_per_record"),
-            Some(90.0)
-        );
-        assert_eq!(
             json_number(&json, "forest_single_ns_per_record"),
             Some(9000.0)
         );
@@ -915,10 +836,6 @@ mod tests {
             Some(300.0)
         );
         assert_eq!(json_number(&json, "serve_protocol_speedup"), Some(3.0));
-        assert_eq!(
-            json_number(&json, "serve_isolation_unsharded_p99_us"),
-            Some(6000.0)
-        );
         assert_eq!(
             json_number(&json, "serve_obs_outcome_roundtrip_us"),
             Some(70.0)
@@ -977,8 +894,6 @@ mod tests {
         assert_eq!(report.batch_records, 256);
         assert!(report.corpus_bags >= 18);
         for value in [
-            report.corpus_measure_serial_ms,
-            report.corpus_measure_parallel_ms,
             report.train_tree_ms,
             report.train_forest_ms,
             report.loocv_serial_ms,
@@ -991,11 +906,10 @@ mod tests {
             report.flat_simd_tree_ns_per_record,
             report.flat_simd_forest_preorder_ns_per_record,
             report.flat_simd_forest_ns_per_record,
-            report.flat_simd_forest_quantized_ns_per_record,
         ] {
             assert!(value > 0.0 && value.is_finite(), "{report:?}");
         }
-        // The chunked level-order walk must beat the scalar pre-order
+        // The chunked lane walk must beat the scalar pre-order
         // walk even under smoke noise; the full ≥2x acceptance threshold
         // is gated by scripts/verify.sh on the forest speedup.
         assert!(report.flat_simd_forest_speedup > 1.0, "{report:?}");

@@ -5,7 +5,7 @@
 //! repro <artifact>...
 //! repro all
 //! repro --list
-//! repro serve [ADDR] [--models DIR] [--admin] [--unsharded] [--metrics-addr ADDR]
+//! repro serve [ADDR] [--models DIR] [--admin] [--metrics-addr ADDR]
 //!             [--slow-threshold-ms MS] [--read-timeout-ms MS] [--write-timeout-ms MS]
 //! repro bench [--smoke] [--json] [--out FILE] [--baseline FILE] [--max-regression X]
 //!             [--fleet FILE]
@@ -24,10 +24,7 @@
 //! `ADDR` (default `127.0.0.1:7878`). The filesystem-touching
 //! `load`/`save`/`reload` commands (and the slow-request `trace` dump)
 //! are refused unless `--admin` is given (and even then file paths
-//! resolve only inside the `--models` directory). `--unsharded`
-//! collapses the per-model engine shards into one shared queue and
-//! worker pool (the pre-sharding behaviour, kept for A/B latency
-//! comparisons). `--metrics-addr`
+//! resolve only inside the `--models` directory). `--metrics-addr`
 //! starts a second listener answering HTTP scrapes with the Prometheus
 //! text exposition; `--slow-threshold-ms` sets the latency at which a
 //! request's span breakdown is kept for `trace` (default 25). `bench`
@@ -125,7 +122,6 @@ fn serve(args: &[String]) -> ! {
     let mut read_timeout_ms: u64 = 250;
     let mut write_timeout_ms: u64 = 5_000;
     let mut admin = false;
-    let mut sharded = true;
     let mut metrics_addr: Option<String> = None;
     let mut slow_threshold_ms: Option<u64> = None;
     let mut it = args.iter();
@@ -167,11 +163,10 @@ fn serve(args: &[String]) -> ! {
                 }
             },
             "--admin" => admin = true,
-            "--unsharded" => sharded = false,
             flag if flag.starts_with('-') => {
                 eprintln!("error: unknown serve flag `{flag}`");
                 eprintln!(
-                    "usage: repro serve [ADDR] [--models DIR] [--admin] [--unsharded] \
+                    "usage: repro serve [ADDR] [--models DIR] [--admin] \
                      [--metrics-addr ADDR] [--slow-threshold-ms MS] \
                      [--read-timeout-ms MS] [--write-timeout-ms MS]"
                 );
@@ -264,7 +259,6 @@ fn serve(args: &[String]) -> ! {
         // `save`/`reload` without path= read and write here.
         snapshot_dir: models_dir.clone(),
         faults,
-        sharded,
         ..ServiceConfig::default()
     };
     if let Some(ms) = slow_threshold_ms {
@@ -667,7 +661,7 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: repro <artifact>... | all | --list | \
-             serve [ADDR] [--models DIR] [--admin] [--unsharded] [--metrics-addr ADDR] \
+             serve [ADDR] [--models DIR] [--admin] [--metrics-addr ADDR] \
              [--slow-threshold-ms MS] [--read-timeout-ms MS] [--write-timeout-ms MS] | \
              bench [--smoke] [--json] [--out FILE] [--baseline FILE] [--max-regression X] [--fleet FILE] | \
              fleet [--policy P] [--gpus K,...] [--duration S] [--seed N] [--smoke] [--json] [--out FILE] | \

@@ -1,5 +1,5 @@
-//! Serving-layer benchmark: binary-vs-text protocol overhead,
-//! shard-isolation tail latency, and the outcome-report roundtrip.
+//! Serving-layer benchmark: binary-vs-text protocol overhead, the
+//! outcome-report and cancel roundtrips, and hedged tail latency.
 //!
 //! Four measurements, all feeding `BENCH_pipeline.json` through
 //! [`crate::bench`]:
@@ -11,18 +11,6 @@
 //!   `f64` bits). No sockets, no queueing — this isolates exactly what
 //!   the framing change buys, and is the number `scripts/verify.sh`
 //!   gates (binary must beat text by at least 1.5x).
-//! * **End-to-end request latency** — one client, real TCP loopback,
-//!   text versus negotiated binary. Informational: loopback wall time
-//!   is dominated by syscalls and scheduling, so the codec win shrinks
-//!   into noise here; recorded to keep the comparison honest.
-//! * **Shard isolation p99** — eight concurrent clients, two models,
-//!   one model deliberately slowed through the existing
-//!   `slow_predict` fault site. The fast model's p99 is measured three
-//!   ways: sharded with no slow peer (baseline), sharded next to the
-//!   slow peer (must hold near the baseline — per-model queues and
-//!   workers absorb the interference), and unsharded next to the slow
-//!   peer (the shared FIFO queue lets the slow model's jobs stall
-//!   everyone — the regression the sharded engine exists to prevent).
 //! * **Outcome-report roundtrip** — what closing the loop costs a
 //!   binary client per prediction: one `Outcome` frame out, one
 //!   matched/orphaned reply back, over the same loopback TCP path.
@@ -56,17 +44,6 @@ pub struct ServeBench {
     pub binary_protocol_ns_per_request: f64,
     /// `text_protocol_ns_per_request / binary_protocol_ns_per_request`.
     pub protocol_speedup: f64,
-    /// End-to-end loopback request latency, text client, ns.
-    pub text_ns_per_request: f64,
-    /// End-to-end loopback request latency, negotiated binary client, ns.
-    pub binary_ns_per_request: f64,
-    /// Fast-model p99 with per-model shards and no slow peer, us.
-    pub isolation_baseline_p99_us: f64,
-    /// Fast-model p99 with per-model shards next to a slowed peer, us.
-    pub isolation_sharded_p99_us: f64,
-    /// Fast-model p99 on the shared single queue next to the same
-    /// slowed peer, us.
-    pub isolation_unsharded_p99_us: f64,
     /// Mean latency of closing the loop on one prediction — a binary
     /// client's `Outcome` frame and its matched/orphaned reply over
     /// loopback TCP, us.
@@ -82,7 +59,7 @@ pub struct ServeBench {
     pub cancel_roundtrip_us: f64,
 }
 
-/// Runs all three serve measurements. Training happens once (the same
+/// Runs every serve measurement. Training happens once (the same
 /// pair + n-bag registry `repro serve` boots with) and is excluded from
 /// every timed region.
 pub fn run(smoke: bool) -> ServeBench {
@@ -91,15 +68,6 @@ pub fn run(smoke: bool) -> ServeBench {
 
     let codec_rounds = if smoke { 20_000 } else { 100_000 };
     let (text_protocol_ns, binary_protocol_ns) = protocol_ns(codec_rounds);
-
-    let e2e_requests = if smoke { 300 } else { 1_500 };
-    let text_ns = end_to_end_ns(&registry, false, e2e_requests);
-    let binary_ns = end_to_end_ns(&registry, true, e2e_requests);
-
-    let isolation_requests = if smoke { 40 } else { 200 };
-    let baseline = isolation_p99_us(&registry, true, false, isolation_requests);
-    let sharded = isolation_p99_us(&registry, true, true, isolation_requests);
-    let unsharded = isolation_p99_us(&registry, false, true, isolation_requests);
 
     let outcome_reports = if smoke { 200 } else { 1_000 };
     let outcome_roundtrip = outcome_roundtrip_us(&registry, outcome_reports);
@@ -115,11 +83,6 @@ pub fn run(smoke: bool) -> ServeBench {
         text_protocol_ns_per_request: text_protocol_ns,
         binary_protocol_ns_per_request: binary_protocol_ns,
         protocol_speedup: text_protocol_ns / binary_protocol_ns.max(f64::MIN_POSITIVE),
-        text_ns_per_request: text_ns,
-        binary_ns_per_request: binary_ns,
-        isolation_baseline_p99_us: baseline,
-        isolation_sharded_p99_us: sharded,
-        isolation_unsharded_p99_us: unsharded,
         obs_outcome_roundtrip_us: outcome_roundtrip,
         hedge_unhedged_p99_us: unhedged_p99,
         hedge_hedged_p99_us: hedged_p99,
@@ -185,41 +148,6 @@ fn protocol_ns(rounds: usize) -> (f64, f64) {
     )
 }
 
-/// Mean end-to-end latency of one synchronous client over TCP loopback.
-fn end_to_end_ns(registry: &Arc<ModelRegistry>, binary: bool, requests: usize) -> f64 {
-    let service = PredictionService::start(
-        Arc::clone(registry),
-        Platforms::paper(),
-        ServiceConfig::default(),
-    );
-    let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("bench server binds");
-    let mut client = Client::with_config(
-        server.local_addr(),
-        ClientConfig {
-            prefer_binary: binary,
-            ..ClientConfig::default()
-        },
-    );
-    let line = "predict SIFT@20+KNN@40";
-    for _ in 0..20 {
-        client.request(line).expect("warmup request");
-    }
-    assert_eq!(
-        client.is_binary(),
-        Some(binary),
-        "negotiation must land on the dialect under test"
-    );
-    let start = Instant::now();
-    for _ in 0..requests.max(1) {
-        black_box(client.request(line).expect("bench request"));
-    }
-    let per_request = start.elapsed().as_nanos() as f64 / requests.max(1) as f64;
-    drop(client);
-    server.shutdown();
-    service.shutdown();
-    per_request
-}
-
 /// Mean latency of closing the loop on one prediction: a binary client
 /// sends an `Outcome` frame (8 payload bytes, joined by its own request
 /// id) and waits for the matched/orphaned reply. The prediction that
@@ -257,61 +185,6 @@ fn outcome_roundtrip_us(registry: &Arc<ModelRegistry>, reports: usize) -> f64 {
     server.shutdown();
     service.shutdown();
     total.as_nanos() as f64 / 1e3 / reports.max(1) as f64
-}
-
-/// Fast-model p99 under mixed-model concurrency: eight clients, half
-/// hammering the (possibly slowed) pair model, half the n-bag model;
-/// only the fast half's latencies are recorded.
-fn isolation_p99_us(
-    registry: &Arc<ModelRegistry>,
-    sharded: bool,
-    slow: bool,
-    requests_per_client: usize,
-) -> f64 {
-    let faults = if slow {
-        // Every pair-tree predict sleeps 3ms: long enough to occupy a
-        // worker visibly, short enough that the whole sweep stays fast.
-        FaultPlan::parse("slow_predict:model=pair-tree:count=1000000:ms=3").expect("fault parses")
-    } else {
-        FaultPlan::none()
-    };
-    let service = PredictionService::start(
-        Arc::clone(registry),
-        Platforms::paper(),
-        ServiceConfig {
-            sharded,
-            faults: Arc::new(faults),
-            ..ServiceConfig::default()
-        },
-    );
-    let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("bench server binds");
-    let addr = server.local_addr();
-    let fast_latencies = LogHistogram::new();
-    std::thread::scope(|scope| {
-        for i in 0..8 {
-            let is_fast = i % 2 == 1;
-            let hist = &fast_latencies;
-            scope.spawn(move || {
-                let mut client = Client::new(addr);
-                let line = if is_fast {
-                    "predict model=nbag-tree SIFT@20+KNN@40"
-                } else {
-                    "predict model=pair-tree SIFT@20+KNN@40"
-                };
-                for _ in 0..requests_per_client {
-                    let start = Instant::now();
-                    let reply = client.request(line).expect("isolation request");
-                    assert!(reply.starts_with("ok "), "{reply}");
-                    if is_fast {
-                        hist.record_duration(start.elapsed());
-                    }
-                }
-            });
-        }
-    });
-    server.shutdown();
-    service.shutdown();
-    fast_latencies.snapshot().quantile(0.99) as f64
 }
 
 /// p99 latency of eight paced clients on one model while 2% of its

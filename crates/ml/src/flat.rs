@@ -2,46 +2,36 @@
 //!
 //! A fitted [`DecisionTreeRegressor`] stores `Box<TreeNode>` nodes scattered
 //! across the heap; every prediction pointer-chases one record at a time.
-//! [`FlatTree`] compiles the fitted structure into **two** contiguous
-//! struct-of-arrays layouts:
+//! [`FlatTree`] compiles the fitted structure into contiguous
+//! struct-of-arrays form and walks it one of **two** ways:
 //!
-//! * **Pre-order** (the reference layout): a node's left child is always
-//!   the next index and only the right-child index is stored. The scalar
-//!   [`FlatTree::predict`] walk and the
+//! * **The pre-order walk** (the reference): a node's left child is
+//!   always the next index and only the right-child index is stored. The
+//!   early-exiting scalar walk behind [`FlatTree::predict`] and
 //!   [`predict_strided_preorder`](FlatTree::predict_strided_preorder)
-//!   baseline read this layout.
-//! * **Level-order** (the lane-friendly layout): nodes laid out
-//!   breadth-first with explicit `left`/`right` child arrays whose
-//!   `idx = if x <= t { left[idx] } else { right[idx] }` step compiles to a
-//!   conditional move, leaves made *self-looping* (`left == right == self`,
-//!   threshold `+inf`) so a fixed `depth`-iteration loop needs no
-//!   per-record termination branch, and — when the tree is *perfect*
-//!   (every leaf at the same depth, every level full) — implicit heap
-//!   indexing `idx = 2*idx + 1 + (x > t)` that skips the child arrays
-//!   entirely. The batch entry points
+//!   reads this layout, and so does every batch row the lane walk does
+//!   not take.
+//! * **The 16-lane walk**: trees that fit 256 breadth-first slots with
+//!   split features below 256 — every model this crate trains, by a wide
+//!   margin — also compile to a bounds-check-free level-order form (`u8`
+//!   slot cursors indexing fixed `[_; 256]` arrays, so the optimizer can
+//!   prove every index in bounds). Leaves are *self-looping* (both
+//!   children the leaf itself, threshold `+inf`), so a fixed
+//!   `depth`-iteration loop lands every record on its leaf with no
+//!   per-record termination branch, and each step is four scaled loads,
+//!   one compare and one conditional move. The batch entry points
 //!   ([`predict_batch`](FlatTree::predict_batch) /
-//!   [`predict_strided`](FlatTree::predict_strided)) drive this layout
-//!   with [`LANES`] records in flight per loop iteration, so the walks of
-//!   a chunk are independent dependency chains the compiler can overlap
-//!   (and autovectorize where the target allows) instead of one serial
-//!   pointer chase per record.
+//!   [`predict_strided`](FlatTree::predict_strided)) drive it over full
+//!   chunks of [`LANES`] records staged in a lane-major scratch, so the
+//!   walks of a chunk are independent dependency chains the compiler can
+//!   overlap instead of one serial pointer chase per record.
 //!
-//! Trees that fit 256 level-order slots with split features below 256 —
-//! every model this crate trains, by an order of magnitude — additionally
-//! compile to a bounds-check-free struct-of-arrays fast form (`u8` slot
-//! cursors indexing fixed `[_; 256]` arrays, so the optimizer can prove
-//! every index in bounds): the descent step is four scaled loads, one
-//! compare and one conditional move, with the chunk's rows staged in a
-//! lane-major scratch filled by straight `memcpy`.
-//!
-//! Both layouts preserve split features, thresholds and leaf values
-//! bit-for-bit, so flat predictions are **bit-identical** to the boxed
-//! tree's — the property tests at the bottom of this module prove it on
-//! random datasets, for the pre-order walk, the level-order chunked walk,
-//! and every batch-remainder size. An optional f32-quantized threshold
-//! lane ([`predict_strided_quantized`](FlatTree::predict_strided_quantized))
-//! trades a documented epsilon of routing exactness for halved threshold
-//! bandwidth; see that method for the precise contract.
+//! Batch rows outside a full chunk, and every row of a tree too big for
+//! the lane form, take the pre-order walk. Both walks preserve split
+//! features, thresholds and leaf values bit-for-bit, so flat predictions
+//! are **bit-identical** to the boxed tree's — the property tests at the
+//! bottom of this module prove it on random datasets and for every
+//! batch-remainder size.
 //!
 //! # Example
 //!
@@ -68,37 +58,18 @@ use std::collections::VecDeque;
 /// Sentinel in the pre-order `feature` array marking a leaf node.
 const LEAF: u32 = u32::MAX;
 
-/// Records kept in flight per loop iteration of the level-order batch
-/// walk. Sixteen independent root-to-leaf chains hide the latency of the
-/// data-dependent loads on current cores; the small-tree fast path walks
-/// them as two groups of eight so each group's slot cursors stay in
-/// registers.
+/// Records kept in flight per loop iteration of the lane walk. Sixteen
+/// independent root-to-leaf chains hide the latency of the
+/// data-dependent loads on current cores; the walk runs them as two
+/// groups of eight so each group's slot cursors stay in registers.
 pub const LANES: usize = 16;
 
-/// One level-order node: the walk state a single descent step touches,
-/// packed into 24 bytes so a step loads one cache line (at most two) and
-/// pays one bounds check. The explicit child array makes the next-index
-/// pick pure address arithmetic — `children[(x > t) as usize]` — with no
-/// branch and no conditional move needed.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-struct LevelNode {
-    /// Split threshold; `+inf` for leaves (any finite value compares
-    /// `<=`, keeping the self-loop on the left child; a NaN feature
-    /// routes right — also the self-loop).
-    threshold: f64,
-    /// `[left, right]` child slots; both a leaf's own slot.
-    children: [u32; 2],
-    /// Split feature (leaves store `0` — never read meaningfully, because
-    /// a leaf's `+inf` threshold routes every value back to the leaf).
-    feature: u32,
-}
-
-/// Capacity of the small-tree fast path: every slot index fits `u8`, so
-/// indexing the fixed `[_; 256]` arrays below can never go out of bounds
-/// and the optimizer drops every bounds check from the descent loop.
+/// Capacity of the lane form: every slot index fits `u8`, so indexing
+/// the fixed `[_; 256]` arrays below can never go out of bounds and the
+/// optimizer drops every bounds check from the descent loop.
 const SMALL_SLOTS: usize = 256;
 
-/// The chunk's rows copied lane-major for the small-tree walk:
+/// One chunk's rows copied lane-major for the lane walk:
 /// `scratch[lane * SMALL_SLOTS + f]` holds feature `f` of the chunk's
 /// `lane`-th record, so filling is a straight `memcpy` per row and the
 /// walk's feature load is a single scaled index into a fixed array. Only
@@ -106,27 +77,24 @@ const SMALL_SLOTS: usize = 256;
 /// read, so the touched footprint stays a few KB.
 type LaneScratch = [f64; SMALL_SLOTS * LANES];
 
-/// [`LaneScratch`] with features pre-rounded to f32 for the quantized
-/// walk, so the descent compares natively in f32 instead of converting
-/// every fetched feature on every tree step.
-type LaneScratchQ = [f32; SMALL_SLOTS * LANES];
+/// A zeroed [`LaneScratch`] on the heap (32 KB). Callers allocate one
+/// only once a batch holds a full chunk.
+fn lane_scratch() -> Box<LaneScratch> {
+    Box::new([0.0; SMALL_SLOTS * LANES])
+}
 
-/// The bounds-check-free compiled form of a tree with at most
-/// [`SMALL_SLOTS`] level-order slots and split features below 256 — every
-/// real model here by a wide margin. Struct-of-arrays: each per-slot lane
-/// is a fixed `[_; 256]` array indexed by `u8`-ranged slot values, so the
-/// optimizer proves every index in bounds and the descent loop compiles
-/// to four scaled loads, a compare and a conditional move per step — no
-/// branches, no bounds checks, no panics. Unused trailing slots are
-/// self-looping dummy leaves.
+/// The level-order (breadth-first) compiled form of a tree with at most
+/// [`SMALL_SLOTS`] nodes and split features below 256. Struct-of-arrays:
+/// each per-slot lane is a fixed `[_; 256]` array indexed by `u8`-ranged
+/// slot values, so the optimizer proves every index in bounds and the
+/// descent loop compiles to four scaled loads, a compare and a
+/// conditional move per step — no branches, no bounds checks, no panics.
+/// Leaves and unused trailing slots self-loop.
 #[derive(Debug, Clone, PartialEq)]
 struct SmallLevel {
-    /// Split threshold per slot (`+inf` for leaves: self-loop forever).
+    /// Split threshold per slot (`+inf` for leaves: any finite value
+    /// compares `<=` and a NaN routes right — the self-loop either way).
     threshold: [f64; SMALL_SLOTS],
-    /// The quantized walk's packed node: f32 threshold bits in the low
-    /// word, then left child, right child and feature bytes — the whole
-    /// per-step node state in one 8-byte load.
-    qnode: [u64; SMALL_SLOTS],
     /// Split feature per slot (`0` for leaves — never read meaningfully).
     feature: [u8; SMALL_SLOTS],
     /// Child slot pair packed `left | right << 8` (a leaf packs its own
@@ -135,17 +103,72 @@ struct SmallLevel {
     child_pair: [u16; SMALL_SLOTS],
     /// Leaf prediction per slot (0.0 and unused for splits).
     value: [f64; SMALL_SLOTS],
+    /// Maximum root-to-leaf edge count: the fixed descent iteration count.
+    depth: u32,
 }
 
 impl SmallLevel {
+    /// Compiles the lane form from the pre-order arrays, or `None` when
+    /// the tree has more than [`SMALL_SLOTS`] nodes or splits on a
+    /// feature at or above 256.
+    fn from_preorder(
+        feature: &[u32],
+        threshold: &[f64],
+        value: &[f64],
+        right: &[u32],
+    ) -> Option<Box<Self>> {
+        let n = feature.len();
+        if n > SMALL_SLOTS
+            || feature
+                .iter()
+                .any(|&f| f != LEAF && f >= SMALL_SLOTS as u32)
+        {
+            return None;
+        }
+        // BFS over the implicit pre-order links assigns level-order slots.
+        let mut order = Vec::with_capacity(n); // pre-order index per slot
+        let mut slot_of = vec![0u16; n]; // slot per pre-order index
+        let mut depth = 0;
+        let mut queue = VecDeque::with_capacity(n);
+        queue.push_back((0usize, 0u32));
+        while let Some((pre, d)) = queue.pop_front() {
+            slot_of[pre] = order.len() as u16;
+            order.push(pre);
+            // BFS visits levels in order, so the last node popped sits
+            // at the maximum depth.
+            depth = d;
+            if feature[pre] != LEAF {
+                queue.push_back((pre + 1, d + 1));
+                queue.push_back((right[pre] as usize, d + 1));
+            }
+        }
+        let mut small = Box::new(Self {
+            threshold: [f64::INFINITY; SMALL_SLOTS],
+            feature: [0; SMALL_SLOTS],
+            child_pair: core::array::from_fn(|slot| (slot | slot << 8) as u16),
+            value: [0.0; SMALL_SLOTS],
+            depth,
+        });
+        for (slot, &pre) in order.iter().enumerate() {
+            if feature[pre] == LEAF {
+                small.value[slot] = value[pre];
+            } else {
+                small.threshold[slot] = threshold[pre];
+                small.feature[slot] = feature[pre] as u8;
+                small.child_pair[slot] = slot_of[pre + 1] | slot_of[right[pre] as usize] << 8;
+            }
+        }
+        Some(small)
+    }
+
     /// Walks lanes `BASE..BASE + 8` of the scratch to their leaf slots.
     /// Eight slot cursors fit the register file, so the walk state never
     /// touches the stack; `BASE` is const so every scratch index is a
     /// compile-time lane offset plus a `u8`-ranged feature.
     #[inline]
-    fn descend8<const BASE: usize>(&self, depth: u32, scratch: &LaneScratch) -> [usize; 8] {
+    fn descend8<const BASE: usize>(&self, scratch: &LaneScratch) -> [usize; 8] {
         let mut slots = [0usize; 8];
-        for _ in 0..depth {
+        for _ in 0..self.depth {
             for (lane, slot) in slots.iter_mut().enumerate() {
                 let s = *slot;
                 let x = scratch[(BASE + lane) * SMALL_SLOTS + self.feature[s] as usize];
@@ -162,71 +185,27 @@ impl SmallLevel {
         slots
     }
 
-    /// [`descend8`](Self::descend8) against the f32-quantized lane.
+    /// The leaf values of the [`LANES`] records copied into `scratch`.
     #[inline]
-    fn descend8_quantized<const BASE: usize>(
-        &self,
-        depth: u32,
-        scratch: &LaneScratchQ,
-    ) -> [usize; 8] {
-        let mut slots = [0usize; 8];
-        for _ in 0..depth {
-            for (lane, slot) in slots.iter_mut().enumerate() {
-                let q = self.qnode[*slot];
-                let x = scratch[(BASE + lane) * SMALL_SLOTS + ((q >> 48) & 0xff) as usize];
-                let go = if x <= f32::from_bits(q as u32) {
-                    q >> 32
-                } else {
-                    q >> 40
-                };
-                *slot = (go & 0xff) as usize;
-            }
-        }
-        slots
-    }
-
-    /// Walks [`LANES`] records (copied into `scratch`) to their leaf slots.
-    #[inline]
-    fn descend(&self, depth: u32, scratch: &LaneScratch) -> [u8; LANES] {
-        let lo = self.descend8::<0>(depth, scratch);
-        let hi = self.descend8::<8>(depth, scratch);
-        core::array::from_fn(|i| if i < 8 { lo[i] } else { hi[i - 8] } as u8)
-    }
-
-    /// [`descend`](Self::descend) against the f32-quantized thresholds.
-    #[inline]
-    fn descend_quantized(&self, depth: u32, scratch: &LaneScratchQ) -> [u8; LANES] {
-        let lo = self.descend8_quantized::<0>(depth, scratch);
-        let hi = self.descend8_quantized::<8>(depth, scratch);
-        core::array::from_fn(|i| if i < 8 { lo[i] } else { hi[i - 8] } as u8)
+    fn predict(&self, scratch: &LaneScratch) -> [f64; LANES] {
+        let lo = self.descend8::<0>(scratch);
+        let hi = self.descend8::<8>(scratch);
+        core::array::from_fn(|i| {
+            let leaf = if i < 8 { lo[i] } else { hi[i - 8] };
+            self.value[leaf & 0xff]
+        })
     }
 }
 
-/// Copies one [`LANES`]-record chunk of a strided buffer into the
-/// small-path scratch, one `memcpy` per row. Only the first
-/// `min(width, 256)` features land in each lane segment; split features
-/// always index below that, so the rest is never read either.
+/// Copies one [`LANES`]-record chunk of a strided buffer into the lane
+/// scratch, one `memcpy` per row. Only the first `min(width, 256)`
+/// features land in each lane segment; split features always index
+/// below that, so the rest is never read either.
 #[inline]
-fn fill_scratch(scratch: &mut LaneScratch, buf: &[f64], base: usize, width: usize) {
+fn fill_scratch(scratch: &mut LaneScratch, chunk: &[f64], width: usize) {
     let w = width.min(SMALL_SLOTS);
-    for lane in 0..LANES {
-        let row = &buf[base + lane * width..base + lane * width + w];
-        scratch[lane * SMALL_SLOTS..lane * SMALL_SLOTS + w].copy_from_slice(row);
-    }
-}
-
-/// [`fill_scratch`] rounding into the quantized walk's f32 scratch.
-#[inline]
-fn fill_scratch_q(scratch: &mut LaneScratchQ, buf: &[f64], base: usize, width: usize) {
-    let w = width.min(SMALL_SLOTS);
-    for lane in 0..LANES {
-        let row = &buf[base + lane * width..base + lane * width + w];
-        for (slot, &x) in scratch[lane * SMALL_SLOTS..lane * SMALL_SLOTS + w]
-            .iter_mut()
-            .zip(row)
-        {
-            *slot = x as f32;
-        }
+    for (lane, row) in chunk.chunks_exact(width).enumerate() {
+        scratch[lane * SMALL_SLOTS..lane * SMALL_SLOTS + w].copy_from_slice(&row[..w]);
     }
 }
 
@@ -239,177 +218,16 @@ fn fill_scratch_rows(scratch: &mut LaneScratch, rows: &[&[f64]]) {
     }
 }
 
-/// The level-order (breadth-first) compiled form of one tree: the
-/// lane-friendly layout behind the chunked batch walk.
-///
-/// Packed [`LevelNode`] records hold the per-step walk state; the leaf
-/// `value` lane and the f32-quantized `threshold_q` lane live in separate
-/// contiguous arrays so the descent loop never streams bytes it does not
-/// read (values are read once per record, the quantized lane only by the
-/// quantized walk). Leaves are self-looping (`children == [self, self]`,
-/// threshold `+inf`), so a fixed `depth`-iteration descent lands every
-/// record on its leaf without a per-record termination branch; `perfect`
-/// marks trees whose layout satisfies implicit heap indexing
-/// (`children[i] == [2i+1, 2i+2]`, all leaves at depth `depth`), where
-/// the descent replaces even the child load with index arithmetic.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct LevelLayout {
-    /// Level-order node records (see [`LevelNode`]).
-    nodes: Vec<LevelNode>,
-    /// The bounds-check-free fast form, present when the tree fits
-    /// [`SMALL_SLOTS`] slots with all split features below 256.
-    small: Option<Box<SmallLevel>>,
-    /// The quantized threshold lane: `nodes[i].threshold as f32`, `+inf`
-    /// for leaves. Separate so the exact walk never pays for it.
-    threshold_q: Vec<f32>,
-    /// Leaf prediction per slot (0.0 and unused for splits).
-    value: Vec<f64>,
-    /// Maximum root-to-leaf edge count: the fixed descent iteration count.
-    depth: u32,
-    /// Whether implicit heap indexing applies (see type docs).
-    perfect: bool,
-}
-
-impl LevelLayout {
-    /// Compiles the level-order form from the pre-order arrays.
-    fn from_preorder(feature: &[u32], threshold: &[f64], value: &[f64], right: &[u32]) -> Self {
-        let n = feature.len();
-        debug_assert!(n < LEAF as usize, "node count asserted at flatten time");
-        // BFS over the implicit pre-order links assigns level-order slots.
-        let mut order = Vec::with_capacity(n); // pre-order index per slot
-        let mut slot_depth = Vec::with_capacity(n); // level per slot
-        let mut slot_of = vec![0u32; n]; // slot per pre-order index
-        let mut queue = VecDeque::with_capacity(n);
-        queue.push_back((0usize, 0u32));
-        while let Some((pre, d)) = queue.pop_front() {
-            slot_of[pre] = order.len() as u32;
-            order.push(pre);
-            slot_depth.push(d);
-            if feature[pre] != LEAF {
-                queue.push_back((pre + 1, d + 1));
-                queue.push_back((right[pre] as usize, d + 1));
-            }
-        }
-        // BFS visits levels in order, so the last slot carries the
-        // maximum depth — and the deepest nodes are always leaves.
-        let depth = slot_depth.last().copied().unwrap_or(0);
-        let mut lvl = Self {
-            nodes: Vec::with_capacity(n),
-            small: None,
-            threshold_q: Vec::with_capacity(n),
-            value: Vec::with_capacity(n),
-            depth,
-            perfect: false,
-        };
-        for (slot, &pre) in order.iter().enumerate() {
-            if feature[pre] == LEAF {
-                lvl.nodes.push(LevelNode {
-                    threshold: f64::INFINITY,
-                    children: [slot as u32; 2],
-                    feature: 0,
-                });
-                lvl.threshold_q.push(f32::INFINITY);
-                lvl.value.push(value[pre]);
-            } else {
-                lvl.nodes.push(LevelNode {
-                    threshold: threshold[pre],
-                    children: [slot_of[pre + 1], slot_of[right[pre] as usize]],
-                    feature: feature[pre],
-                });
-                lvl.threshold_q.push(threshold[pre] as f32);
-                lvl.value.push(0.0);
-            }
-        }
-        lvl.perfect = order.iter().enumerate().all(|(slot, &pre)| {
-            if feature[pre] == LEAF {
-                slot_depth[slot] == depth
-            } else {
-                lvl.nodes[slot].children == [2 * slot as u32 + 1, 2 * slot as u32 + 2]
-            }
-        });
-        if n <= SMALL_SLOTS && lvl.nodes.iter().all(|nd| nd.feature < SMALL_SLOTS as u32) {
-            let mut small = Box::new(SmallLevel {
-                threshold: [f64::INFINITY; SMALL_SLOTS],
-                qnode: core::array::from_fn(|slot| {
-                    f32::INFINITY.to_bits() as u64 | (slot as u64 * 0x101) << 32
-                }),
-                feature: [0; SMALL_SLOTS],
-                child_pair: core::array::from_fn(|slot| (slot | slot << 8) as u16),
-                value: [0.0; SMALL_SLOTS],
-            });
-            for (slot, nd) in lvl.nodes.iter().enumerate() {
-                small.threshold[slot] = nd.threshold;
-                small.qnode[slot] = lvl.threshold_q[slot].to_bits() as u64
-                    | (nd.children[0] as u64) << 32
-                    | (nd.children[1] as u64) << 40
-                    | (nd.feature as u64) << 48;
-                small.feature[slot] = nd.feature as u8;
-                small.child_pair[slot] = (nd.children[0] | nd.children[1] << 8) as u16;
-                small.value[slot] = lvl.value[slot];
-            }
-            lvl.small = Some(small);
-        }
-        lvl
-    }
-
-    /// Walks `K` records to their leaf slots. `fetch(lane, f)` reads
-    /// feature `f` of the lane's record. The `K` chains are independent,
-    /// so the compiler overlaps their data-dependent loads; each step is
-    /// a branchless select (or implicit heap arithmetic for perfect
-    /// trees), and leaves self-loop, so the loop runs exactly `depth`
-    /// iterations for every record.
-    #[inline]
-    fn descend<const K: usize>(&self, fetch: impl Fn(usize, usize) -> f64) -> [u32; K] {
-        let mut idx = [0u32; K];
-        let nodes = self.nodes.as_slice();
-        if self.perfect {
-            for _ in 0..self.depth {
-                for (lane, slot) in idx.iter_mut().enumerate() {
-                    let node = &nodes[*slot as usize];
-                    let x = fetch(lane, node.feature as usize);
-                    // `x <= t` (not `x > t`) keeps the boxed walk's NaN
-                    // routing: NaN fails the comparison and goes right.
-                    *slot = 2 * *slot + 2 - u32::from(x <= node.threshold);
-                }
-            }
-        } else {
-            for _ in 0..self.depth {
-                for (lane, slot) in idx.iter_mut().enumerate() {
-                    let node = &nodes[*slot as usize];
-                    let x = fetch(lane, node.feature as usize);
-                    let go_left = usize::from(x <= node.threshold);
-                    *slot = node.children[1 - go_left];
-                }
-            }
-        }
-        idx
-    }
-
-    /// [`descend`](Self::descend) against the f32-quantized threshold
-    /// lane: features are rounded to f32 and compared against
-    /// `threshold_q`. See
-    /// [`FlatTree::predict_strided_quantized`] for the exactness contract.
-    #[inline]
-    fn descend_quantized<const K: usize>(&self, fetch: impl Fn(usize, usize) -> f64) -> [u32; K] {
-        let mut idx = [0u32; K];
-        let nodes = self.nodes.as_slice();
-        let thresholds = self.threshold_q.as_slice();
-        for _ in 0..self.depth {
-            for (lane, slot) in idx.iter_mut().enumerate() {
-                let i = *slot as usize;
-                let node = &nodes[i];
-                let x = fetch(lane, node.feature as usize) as f32;
-                let go_left = usize::from(x <= thresholds[i]);
-                *slot = node.children[1 - go_left];
-            }
-        }
-        idx
-    }
+/// Splits `rows` items into the full [`LANES`] chunks the lane walk
+/// takes and the remainder the pre-order walk takes.
+fn split_chunks<T>(rows: &[T], row_len: usize) -> (&[T], &[T]) {
+    let n = rows.len() / row_len;
+    rows.split_at((n - n % LANES) * row_len)
 }
 
 /// A fitted regression tree compiled to contiguous, index-linked,
-/// struct-of-arrays representations (see the module docs for the two
-/// layouts and which entry point reads which).
+/// struct-of-arrays form (see the module docs for the two walks and
+/// which entry point takes which).
 ///
 /// Pre-order nodes: node `i`'s left child is `i + 1`, and `right[i]` holds
 /// the right child's index. A leaf stores [`LEAF`] in its feature slot and
@@ -425,9 +243,9 @@ pub struct FlatTree {
     value: Vec<f64>,
     /// Right-child index per node (the left child is the next node).
     right: Vec<u32>,
-    /// The level-order lane-friendly layout, rebuilt whenever the
+    /// The lane form, when the tree fits it; rebuilt whenever the
     /// pre-order arrays change (compile, remap).
-    level: LevelLayout,
+    small: Option<Box<SmallLevel>>,
 }
 
 impl FlatTree {
@@ -440,16 +258,15 @@ impl FlatTree {
             threshold: Vec::new(),
             value: Vec::new(),
             right: Vec::new(),
-            level: LevelLayout::default(),
+            small: None,
         };
         flat.flatten(root);
-        flat.rebuild_level();
+        flat.rebuild_small();
         Some(flat)
     }
 
     fn flatten(&mut self, node: &TreeNode) -> u32 {
-        // Every node index — pre-order `right[i]`, level-order
-        // `left`/`right` slots — is stored as `u32`, with `u32::MAX`
+        // Every pre-order node index is stored as `u32`, with `u32::MAX`
         // reserved as the leaf sentinel. Assert instead of silently
         // truncating on a pathological tree.
         assert!(
@@ -487,12 +304,12 @@ impl FlatTree {
         idx
     }
 
-    /// Recompiles the level-order layout from the pre-order arrays. Must
-    /// run after any mutation of the pre-order `feature` array (feature
-    /// remapping), so the two layouts can never disagree.
-    fn rebuild_level(&mut self) {
-        self.level =
-            LevelLayout::from_preorder(&self.feature, &self.threshold, &self.value, &self.right);
+    /// Recompiles the lane form from the pre-order arrays. Must run after
+    /// any mutation of the pre-order `feature` array (feature remapping),
+    /// so the two walks can never disagree.
+    fn rebuild_small(&mut self) {
+        self.small =
+            SmallLevel::from_preorder(&self.feature, &self.threshold, &self.value, &self.right);
     }
 
     /// Number of nodes in the compiled tree.
@@ -523,8 +340,9 @@ impl FlatTree {
 
     /// The scalar pre-order traversal, without the dimension assert —
     /// shared with [`FlatForest`], whose remapped trees read full-width
-    /// rows. This early-exiting walk stays the single-record latency path
-    /// and the reference the level-order walk is proven against.
+    /// rows. This early-exiting walk is the single-record latency path,
+    /// the batch fallback, and the reference the lane walk is proven
+    /// against.
     #[inline]
     fn walk(&self, features: &[f64]) -> f64 {
         let mut i = 0usize;
@@ -542,9 +360,9 @@ impl FlatTree {
     }
 
     /// Predicts every record of a batch, appending into `out` (which is
-    /// not cleared). No allocation happens per record. Walks the
-    /// level-order layout [`LANES`] records at a time; bit-identical to
-    /// the per-record [`predict`](Self::predict).
+    /// not cleared). No allocation happens per record. Full chunks of
+    /// [`LANES`] records take the lane walk; bit-identical to the
+    /// per-record [`predict`](Self::predict).
     ///
     /// # Panics
     ///
@@ -558,34 +376,26 @@ impl FlatTree {
             );
         }
         out.reserve(rows.len());
-        let mut chunks = rows.chunks_exact(LANES);
-        if let Some(small) = self.level.small.as_deref() {
-            let mut scratch = Box::new([0.0f64; SMALL_SLOTS * LANES]);
-            for chunk in &mut chunks {
-                fill_scratch_rows(&mut scratch, chunk);
-                for leaf in small.descend(self.level.depth, &scratch) {
-                    out.push(small.value[leaf as usize]);
+        let (full, rest) = split_chunks(rows, 1);
+        let walked = match self.small.as_deref() {
+            Some(small) if !full.is_empty() => {
+                let mut scratch = lane_scratch();
+                for chunk in full.chunks_exact(LANES) {
+                    fill_scratch_rows(&mut scratch, chunk);
+                    out.extend(small.predict(&scratch));
                 }
+                rest
             }
-        } else {
-            for chunk in &mut chunks {
-                let leaves = self.level.descend::<LANES>(|lane, f| chunk[lane][f]);
-                for leaf in leaves {
-                    out.push(self.level.value[leaf as usize]);
-                }
-            }
-        }
-        for row in chunks.remainder() {
-            let [leaf] = self.level.descend::<1>(|_, f| row[f]);
-            out.push(self.level.value[leaf as usize]);
-        }
+            _ => rows,
+        };
+        out.extend(walked.iter().map(|row| self.walk(row)));
     }
 
     /// Predicts every `width`-wide row of one contiguous feature buffer,
     /// appending into `out`. Skipping the per-row `&[f64]` fat pointers
-    /// makes this the cheapest batch entry point: the chunked level-order
-    /// walk keeps [`LANES`] records in flight per loop iteration.
-    /// Bit-identical to the per-record [`predict`](Self::predict).
+    /// makes this the cheapest batch entry point: full chunks of
+    /// [`LANES`] records take the lane walk. Bit-identical to the
+    /// per-record [`predict`](Self::predict).
     ///
     /// # Panics
     ///
@@ -595,35 +405,20 @@ impl FlatTree {
         assert!(width > 0, "rows must hold at least one feature");
         assert_eq!(width, self.n_features, "row width has wrong dimension");
         assert_eq!(buf.len() % width, 0, "buffer is not whole rows");
-        let rows = buf.len() / width;
-        out.reserve(rows);
-        let mut r = 0usize;
-        if let Some(small) = self.level.small.as_deref() {
-            let mut scratch = Box::new([0.0f64; SMALL_SLOTS * LANES]);
-            while r + LANES <= rows {
-                fill_scratch(&mut scratch, buf, r * width, width);
-                for leaf in small.descend(self.level.depth, &scratch) {
-                    out.push(small.value[leaf as usize]);
+        out.reserve(buf.len() / width);
+        let (full, rest) = split_chunks(buf, width);
+        let walked = match self.small.as_deref() {
+            Some(small) if !full.is_empty() => {
+                let mut scratch = lane_scratch();
+                for chunk in full.chunks_exact(LANES * width) {
+                    fill_scratch(&mut scratch, chunk, width);
+                    out.extend(small.predict(&scratch));
                 }
-                r += LANES;
+                rest
             }
-        }
-        while r + LANES <= rows {
-            let base = r * width;
-            let leaves = self
-                .level
-                .descend::<LANES>(|lane, f| buf[base + lane * width + f]);
-            for leaf in leaves {
-                out.push(self.level.value[leaf as usize]);
-            }
-            r += LANES;
-        }
-        while r < rows {
-            let base = r * width;
-            let [leaf] = self.level.descend::<1>(|_, f| buf[base + f]);
-            out.push(self.level.value[leaf as usize]);
-            r += 1;
-        }
+            _ => buf,
+        };
+        out.extend(walked.chunks_exact(width).map(|row| self.walk(row)));
     }
 
     /// The pre-order scalar batch walk over a strided buffer: one branchy
@@ -642,60 +437,6 @@ impl FlatTree {
         out.reserve(buf.len() / width);
         for row in buf.chunks_exact(width) {
             out.push(self.walk(row));
-        }
-    }
-
-    /// [`predict_strided`](Self::predict_strided) against the f32-quantized
-    /// threshold lane: every comparison is `(x as f32) <= (t as f32)`
-    /// instead of `x <= t`, halving threshold memory traffic.
-    ///
-    /// # Exactness contract (the documented epsilon)
-    ///
-    /// f64→f32 rounding is monotone, so quantized routing can disagree
-    /// with the exact walk **only** when a feature value `x` and a split
-    /// threshold `t` round to the *same* f32 — which requires
-    /// `|x − t| <= max(|x|, |t|) * f32::EPSILON + f32::MIN_POSITIVE`.
-    /// Records whose feature values all keep more than that margin from
-    /// every threshold predict **bit-identically** to the exact walk; a
-    /// record inside the margin may route to an adjacent leaf, so its
-    /// prediction is still one of the tree's leaf values. The property
-    /// tests prove both halves of this contract on random trees.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`predict_strided`](Self::predict_strided).
-    pub fn predict_strided_quantized(&self, buf: &[f64], width: usize, out: &mut Vec<f64>) {
-        assert!(width > 0, "rows must hold at least one feature");
-        assert_eq!(width, self.n_features, "row width has wrong dimension");
-        assert_eq!(buf.len() % width, 0, "buffer is not whole rows");
-        let rows = buf.len() / width;
-        out.reserve(rows);
-        let mut r = 0usize;
-        if let Some(small) = self.level.small.as_deref() {
-            let mut scratch = Box::new([0.0f32; SMALL_SLOTS * LANES]);
-            while r + LANES <= rows {
-                fill_scratch_q(&mut scratch, buf, r * width, width);
-                for leaf in small.descend_quantized(self.level.depth, &scratch) {
-                    out.push(small.value[leaf as usize]);
-                }
-                r += LANES;
-            }
-        }
-        while r + LANES <= rows {
-            let base = r * width;
-            let leaves = self
-                .level
-                .descend_quantized::<LANES>(|lane, f| buf[base + lane * width + f]);
-            for leaf in leaves {
-                out.push(self.level.value[leaf as usize]);
-            }
-            r += LANES;
-        }
-        while r < rows {
-            let base = r * width;
-            let [leaf] = self.level.descend_quantized::<1>(|_, f| buf[base + f]);
-            out.push(self.level.value[leaf as usize]);
-            r += 1;
         }
     }
 
@@ -723,8 +464,8 @@ impl FlatTree {
 
     /// Renumbers every split feature through `map` (indexed by the old
     /// feature id) and declares `new_width` as the expected row width.
-    /// The level-order layout is recompiled, so both walks see the
-    /// renumbered features.
+    /// The lane form is recompiled, so both walks see the renumbered
+    /// features.
     ///
     /// The walk compares the same values against the same thresholds, so
     /// predictions stay bit-identical as long as the caller's rows really
@@ -750,7 +491,7 @@ impl FlatTree {
             }
         }
         self.n_features = new_width;
-        self.rebuild_level();
+        self.rebuild_small();
     }
 }
 
@@ -764,8 +505,8 @@ impl FlatTree {
 /// directly: no projection, no scratch, no allocation anywhere on the
 /// batch path. The same values meet the same thresholds in the same
 /// order, so predictions are bit-identical to the boxed forest's (same
-/// tree order, same summation order). Batch entry points walk each
-/// tree's level-order layout [`LANES`] records at a time.
+/// tree order, same summation order). Batch entry points walk full
+/// chunks of [`LANES`] records through every tree that has the lane form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatForest {
     trees: Vec<FlatTree>,
@@ -795,7 +536,7 @@ impl FlatForest {
                     }
                 }
                 flat.n_features = 0; // subset-space width is meaningless now
-                flat.rebuild_level(); // the level layout must see full-row features
+                flat.rebuild_small(); // the lane form must see full-row features
                 flat
             })
             .collect();
@@ -818,11 +559,44 @@ impl FlatForest {
             features.len() >= self.min_width,
             "feature vector has wrong dimension"
         );
+        self.walk(features)
+    }
+
+    /// The per-record pre-order mean, without the width assert.
+    fn walk(&self, features: &[f64]) -> f64 {
         let mut sum = 0.0;
         for tree in &self.trees {
             sum += tree.walk(features);
         }
         sum / self.trees.len() as f64
+    }
+
+    /// The means of one full chunk: every tree in order, the lane walk
+    /// over `scratch` where the tree has the lane form, the pre-order
+    /// walk over `row(lane)` where it does not.
+    #[inline]
+    fn predict_chunk<'a>(
+        &self,
+        scratch: &LaneScratch,
+        row: impl Fn(usize) -> &'a [f64],
+    ) -> [f64; LANES] {
+        let mut acc = [0.0f64; LANES];
+        for tree in &self.trees {
+            match tree.small.as_deref() {
+                Some(small) => {
+                    for (slot, y) in acc.iter_mut().zip(small.predict(scratch)) {
+                        *slot += y;
+                    }
+                }
+                None => {
+                    for (lane, slot) in acc.iter_mut().enumerate() {
+                        *slot += tree.walk(row(lane));
+                    }
+                }
+            }
+        }
+        let n = self.trees.len() as f64;
+        acc.map(|sum| sum / n)
     }
 
     /// Predicts every record of a batch, appending into `out`. No
@@ -834,42 +608,17 @@ impl FlatForest {
     /// still adds tree predictions in tree order, so the sums carry the
     /// exact bits of the record-major (and boxed) walk.
     pub fn predict_into(&self, rows: &[&[f64]], out: &mut Vec<f64>) {
+        debug_assert!(rows.iter().all(|row| row.len() >= self.min_width));
         out.reserve(rows.len());
-        let n = self.trees.len() as f64;
-        let mut chunks = rows.chunks_exact(LANES);
-        let mut scratch = Box::new([0.0f64; SMALL_SLOTS * LANES]);
-        for chunk in &mut chunks {
-            debug_assert!(chunk.iter().all(|row| row.len() >= self.min_width));
-            fill_scratch_rows(&mut scratch, chunk);
-            let mut acc = [0.0f64; LANES];
-            for tree in &self.trees {
-                if let Some(small) = tree.level.small.as_deref() {
-                    for (slot, leaf) in acc
-                        .iter_mut()
-                        .zip(small.descend(tree.level.depth, &scratch))
-                    {
-                        *slot += small.value[leaf as usize];
-                    }
-                } else {
-                    let leaves = tree.level.descend::<LANES>(|lane, f| chunk[lane][f]);
-                    for (slot, leaf) in acc.iter_mut().zip(leaves) {
-                        *slot += tree.level.value[leaf as usize];
-                    }
-                }
-            }
-            for slot in acc {
-                out.push(slot / n);
+        let (full, rest) = split_chunks(rows, 1);
+        if !full.is_empty() {
+            let mut scratch = lane_scratch();
+            for chunk in full.chunks_exact(LANES) {
+                fill_scratch_rows(&mut scratch, chunk);
+                out.extend(self.predict_chunk(&scratch, |lane| chunk[lane]));
             }
         }
-        for row in chunks.remainder() {
-            debug_assert!(row.len() >= self.min_width);
-            let mut sum = 0.0;
-            for tree in &self.trees {
-                let [leaf] = tree.level.descend::<1>(|_, f| row[f]);
-                sum += tree.level.value[leaf as usize];
-            }
-            out.push(sum / n);
-        }
+        out.extend(rest.iter().map(|row| self.walk(row)));
     }
 
     /// Predicts every `width`-wide row of one contiguous feature buffer,
@@ -885,50 +634,20 @@ impl FlatForest {
         assert!(width > 0, "rows must hold at least one feature");
         assert!(width >= self.min_width, "row width has wrong dimension");
         assert_eq!(buf.len() % width, 0, "buffer is not whole rows");
-        let rows = buf.len() / width;
-        out.reserve(rows);
-        let n = self.trees.len() as f64;
-        // One transposed scratch per call, filled once per chunk and read
-        // by every tree — the small-path walk then runs entirely on
-        // fixed-size arrays with no bounds checks.
-        let mut scratch = Box::new([0.0f64; SMALL_SLOTS * LANES]);
-        let mut r = 0usize;
-        while r + LANES <= rows {
-            let base = r * width;
-            fill_scratch(&mut scratch, buf, base, width);
-            let mut acc = [0.0f64; LANES];
-            for tree in &self.trees {
-                if let Some(small) = tree.level.small.as_deref() {
-                    for (slot, leaf) in acc
-                        .iter_mut()
-                        .zip(small.descend(tree.level.depth, &scratch))
-                    {
-                        *slot += small.value[leaf as usize];
-                    }
-                } else {
-                    let leaves = tree
-                        .level
-                        .descend::<LANES>(|lane, f| buf[base + lane * width + f]);
-                    for (slot, leaf) in acc.iter_mut().zip(leaves) {
-                        *slot += tree.level.value[leaf as usize];
-                    }
-                }
+        out.reserve(buf.len() / width);
+        let (full, rest) = split_chunks(buf, width);
+        if !full.is_empty() {
+            // One transposed scratch per call, filled once per chunk and
+            // read by every tree with the lane form.
+            let mut scratch = lane_scratch();
+            for chunk in full.chunks_exact(LANES * width) {
+                fill_scratch(&mut scratch, chunk, width);
+                out.extend(
+                    self.predict_chunk(&scratch, |lane| &chunk[lane * width..(lane + 1) * width]),
+                );
             }
-            for slot in acc {
-                out.push(slot / n);
-            }
-            r += LANES;
         }
-        while r < rows {
-            let base = r * width;
-            let mut sum = 0.0;
-            for tree in &self.trees {
-                let [leaf] = tree.level.descend::<1>(|_, f| buf[base + f]);
-                sum += tree.level.value[leaf as usize];
-            }
-            out.push(sum / n);
-            r += 1;
-        }
+        out.extend(rest.chunks_exact(width).map(|row| self.walk(row)));
     }
 
     /// The pre-order scalar batch walk: tree-major, one branchy
@@ -959,64 +678,6 @@ impl FlatForest {
         }
     }
 
-    /// [`predict_strided`](Self::predict_strided) against every tree's
-    /// f32-quantized threshold lane. Same exactness contract as
-    /// [`FlatTree::predict_strided_quantized`], applied per tree: records
-    /// whose feature values keep the documented margin from every
-    /// threshold of every tree predict bit-identically; others may route
-    /// to adjacent leaves in some trees, so the result is still a mean of
-    /// per-tree leaf values.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`predict_strided`](Self::predict_strided).
-    pub fn predict_strided_quantized(&self, buf: &[f64], width: usize, out: &mut Vec<f64>) {
-        assert!(width > 0, "rows must hold at least one feature");
-        assert!(width >= self.min_width, "row width has wrong dimension");
-        assert_eq!(buf.len() % width, 0, "buffer is not whole rows");
-        let rows = buf.len() / width;
-        out.reserve(rows);
-        let n = self.trees.len() as f64;
-        let mut scratch = Box::new([0.0f32; SMALL_SLOTS * LANES]);
-        let mut r = 0usize;
-        while r + LANES <= rows {
-            let base = r * width;
-            fill_scratch_q(&mut scratch, buf, base, width);
-            let mut acc = [0.0f64; LANES];
-            for tree in &self.trees {
-                if let Some(small) = tree.level.small.as_deref() {
-                    for (slot, leaf) in acc
-                        .iter_mut()
-                        .zip(small.descend_quantized(tree.level.depth, &scratch))
-                    {
-                        *slot += small.value[leaf as usize];
-                    }
-                } else {
-                    let leaves = tree
-                        .level
-                        .descend_quantized::<LANES>(|lane, f| buf[base + lane * width + f]);
-                    for (slot, leaf) in acc.iter_mut().zip(leaves) {
-                        *slot += tree.level.value[leaf as usize];
-                    }
-                }
-            }
-            for slot in acc {
-                out.push(slot / n);
-            }
-            r += LANES;
-        }
-        while r < rows {
-            let base = r * width;
-            let mut sum = 0.0;
-            for tree in &self.trees {
-                let [leaf] = tree.level.descend_quantized::<1>(|_, f| buf[base + f]);
-                sum += tree.level.value[leaf as usize];
-            }
-            out.push(sum / n);
-            r += 1;
-        }
-    }
-
     /// Predicts every record of a batch.
     pub fn predict_batch(&self, rows: &[&[f64]]) -> Vec<f64> {
         let mut out = Vec::new();
@@ -1041,7 +702,7 @@ impl FlatForest {
 
     /// Renumbers every split feature of every tree through `map` (indexed
     /// by the old feature id) and recomputes the minimum row width. Every
-    /// tree's level-order layout is recompiled.
+    /// tree's lane form is recompiled.
     ///
     /// Same bit-identity contract as [`FlatTree::remap_features`]: rows
     /// must carry the old column `f` at new column `map[f]`.
@@ -1068,7 +729,7 @@ impl FlatForest {
                     min_width = min_width.max(to as usize + 1);
                 }
             }
-            tree.rebuild_level();
+            tree.rebuild_small();
         }
         self.min_width = min_width;
     }
@@ -1123,66 +784,11 @@ mod tests {
         tree.fit(&d).unwrap();
         let flat = FlatTree::from_tree(&tree).unwrap();
         assert_eq!(flat.n_nodes(), 1);
-        assert_eq!(flat.level.depth, 0);
-        assert!(flat.level.perfect);
+        assert_eq!(flat.small.as_ref().unwrap().depth, 0);
         assert_eq!(flat.predict(&[0.0]), 42.0);
         let mut out = Vec::new();
         flat.predict_strided(&[0.0, 7.0], 1, &mut out);
         assert_eq!(out, vec![42.0, 42.0]);
-    }
-
-    #[test]
-    fn perfect_trees_take_the_implicit_heap_path() {
-        // Four distinct targets over two binary features force the greedy
-        // CART into a depth-2 perfect tree: root on f0 (best MSE drop),
-        // both children on f1.
-        let mut d = Dataset::new(vec!["a".into(), "b".into()]).unwrap();
-        d.push(vec![0.0, 0.0], 1.0).unwrap();
-        d.push(vec![0.0, 1.0], 2.0).unwrap();
-        d.push(vec![1.0, 0.0], 30.0).unwrap();
-        d.push(vec![1.0, 1.0], 40.0).unwrap();
-        let mut tree = DecisionTreeRegressor::new();
-        tree.fit(&d).unwrap();
-        let flat = FlatTree::from_tree(&tree).unwrap();
-        assert_eq!(flat.n_nodes(), 7);
-        assert_eq!(flat.level.depth, 2);
-        assert!(flat.level.perfect, "complete tree must use heap indexing");
-        // The chunked level walk (implicit indexing) agrees with the
-        // boxed and pre-order walks bit-for-bit on and off the grid.
-        let mut buf = Vec::new();
-        for a in [-1.0f64, 0.0, 0.4, 0.6, 1.0, 2.0] {
-            for b in [-1.0f64, 0.0, 0.5, 1.0, 2.0] {
-                buf.extend_from_slice(&[a, b]);
-            }
-        }
-        let mut level = Vec::new();
-        let mut preorder = Vec::new();
-        flat.predict_strided(&buf, 2, &mut level);
-        flat.predict_strided_preorder(&buf, 2, &mut preorder);
-        for ((row, l), p) in buf.chunks_exact(2).zip(&level).zip(&preorder) {
-            assert_eq!(l.to_bits(), p.to_bits());
-            assert_eq!(l.to_bits(), tree.predict(row).to_bits());
-        }
-    }
-
-    #[test]
-    fn lopsided_trees_fall_back_to_child_arrays() {
-        // Twenty distinct targets force twenty leaves — never a perfect
-        // tree — so the walk must route through the select path.
-        let mut d = Dataset::new(vec!["x".into(), "noise".into()]).unwrap();
-        for i in 0..20 {
-            d.push(vec![i as f64, (i % 3) as f64], (i * i) as f64)
-                .unwrap();
-        }
-        let mut tree = DecisionTreeRegressor::new();
-        tree.fit(&d).unwrap();
-        let flat = FlatTree::from_tree(&tree).unwrap();
-        assert!(!flat.level.perfect);
-        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i % 3) as f64]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        for (row, y) in refs.iter().zip(flat.predict_batch(&refs)) {
-            assert_eq!(y.to_bits(), flat.predict(row).to_bits());
-        }
     }
 
     #[test]
@@ -1261,21 +867,24 @@ mod tests {
     #[test]
     fn remap_keeps_both_layouts_in_agreement() {
         let mut flat = step_tree();
-        // Swap the two columns and widen the rows; the level layout must
-        // be recompiled along with the pre-order arrays.
+        // Swap the two columns and widen the rows; the lane form must be
+        // recompiled along with the pre-order arrays.
         flat.remap_features(&[2, 0], 3);
         let reference = step_tree();
+        let mut buf = Vec::new();
+        let mut want = Vec::new();
         for i in 0..20 {
             let old = [i as f64, (i % 3) as f64];
             let new = [old[1], 0.0, old[0]];
-            assert_eq!(
-                flat.predict(&new).to_bits(),
-                reference.predict(&old).to_bits()
-            );
-            let mut out = Vec::new();
-            flat.predict_strided(&new, 3, &mut out);
-            assert_eq!(out[0].to_bits(), reference.predict(&old).to_bits());
+            want.push(reference.predict(&old).to_bits());
+            assert_eq!(flat.predict(&new).to_bits(), want[i]);
+            buf.extend_from_slice(&new);
         }
+        // Twenty rows: one full chunk for the lane walk, four remainder.
+        let mut out = Vec::new();
+        flat.predict_strided(&buf, 3, &mut out);
+        let got: Vec<u64> = out.iter().map(|y| y.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1290,6 +899,117 @@ mod tests {
         }
     }
 
+    /// Query rows for the fallback tests: every integer grid point in
+    /// `-1..=300` plus a half-step off it and a NaN row, so batches span
+    /// full chunks and a remainder. Only column `informative` varies.
+    fn fallback_queries(width: usize, informative: &[usize]) -> Vec<Vec<f64>> {
+        let mut values: Vec<f64> = (-1..=300).map(f64::from).collect();
+        values.extend((-1..=300).map(|i| f64::from(i) + 0.5));
+        values.push(f64::NAN);
+        values
+            .into_iter()
+            .map(|x| {
+                let mut row = vec![0.0; width];
+                for &f in informative {
+                    row[f] = x;
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// A dataset of 300 rows with distinct, shuffled targets in which
+    /// only the `informative` columns vary.
+    fn fallback_dataset(width: usize, informative: &[usize]) -> Dataset {
+        let names: Vec<String> = (0..width).map(|f| format!("f{f}")).collect();
+        let mut d = Dataset::new(names).unwrap();
+        for (i, row) in fallback_queries(width, informative)[1..301]
+            .iter()
+            .enumerate()
+        {
+            d.push(row.clone(), ((i * 7) % 300) as f64).unwrap();
+        }
+        d
+    }
+
+    /// Every tree batch entry point against the boxed tree, row by row.
+    fn assert_tree_matches_boxed(tree: &DecisionTreeRegressor, rows: &[Vec<f64>]) {
+        let flat = FlatTree::from_tree(tree).unwrap();
+        assert!(
+            flat.small.is_none(),
+            "the test tree must miss the lane form"
+        );
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let buf: Vec<f64> = rows.concat();
+        let mut strided = Vec::new();
+        flat.predict_strided(&buf, flat.n_features(), &mut strided);
+        let batch = flat.predict_batch(&refs);
+        assert_eq!(strided.len(), rows.len());
+        for ((row, s), b) in refs.iter().zip(&strided).zip(&batch) {
+            let want = tree.predict(row).to_bits();
+            assert_eq!(s.to_bits(), want);
+            assert_eq!(b.to_bits(), want);
+        }
+    }
+
+    /// Both forest batch entry points against the boxed forest, row by row.
+    fn assert_forest_matches_boxed(
+        forest: &RandomForestRegressor,
+        rows: &[Vec<f64>],
+    ) -> FlatForest {
+        let flat = FlatForest::from_forest(forest).unwrap();
+        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let buf: Vec<f64> = rows.concat();
+        let mut strided = Vec::new();
+        flat.predict_strided(&buf, rows[0].len(), &mut strided);
+        let batch = flat.predict_batch(&refs);
+        assert_eq!(strided.len(), rows.len());
+        for ((row, s), b) in refs.iter().zip(&strided).zip(&batch) {
+            let want = forest.predict(row).to_bits();
+            assert_eq!(s.to_bits(), want);
+            assert_eq!(b.to_bits(), want);
+        }
+        flat
+    }
+
+    #[test]
+    fn trees_beyond_256_nodes_walk_pre_order_bit_identically() {
+        let data = fallback_dataset(1, &[0]);
+        let rows = fallback_queries(1, &[0]);
+        let mut tree = DecisionTreeRegressor::new().with_max_depth(16);
+        tree.fit(&data).unwrap();
+        assert!(FlatTree::from_tree(&tree).unwrap().n_nodes() > SMALL_SLOTS);
+        assert_tree_matches_boxed(&tree, &rows);
+
+        let mut forest = RandomForestRegressor::new()
+            .with_n_trees(4)
+            .with_max_depth(16);
+        forest.fit(&data).unwrap();
+        let flat = assert_forest_matches_boxed(&forest, &rows);
+        assert!(flat.trees.iter().all(|t| t.small.is_none()));
+    }
+
+    #[test]
+    fn split_features_beyond_255_walk_pre_order_bit_identically() {
+        let data = fallback_dataset(300, &[299]);
+        let rows = fallback_queries(300, &[299]);
+        let mut tree = DecisionTreeRegressor::new();
+        tree.fit(&data).unwrap();
+        assert_eq!(FlatTree::from_tree(&tree).unwrap().used_features(), [299]);
+        assert_tree_matches_boxed(&tree, &rows);
+
+        // Column 0 duplicates column 299, so trees whose feature subset
+        // holds column 0 split below 256 and keep the lane form while the
+        // rest fall back: one chunk mixes both walks.
+        let data = fallback_dataset(300, &[0, 299]);
+        let rows = fallback_queries(300, &[0, 299]);
+        let mut forest = RandomForestRegressor::new().with_n_trees(12);
+        forest.fit(&data).unwrap();
+        let flat = assert_forest_matches_boxed(&forest, &rows);
+        assert!(flat.trees.iter().any(|t| t.small.is_some()));
+        assert!(flat.trees.iter().any(|t| t.small.is_none()));
+    }
+
     fn random_dataset(targets: &[f64], n_features: usize) -> Dataset {
         let names: Vec<String> = (0..n_features).map(|f| format!("f{f}")).collect();
         let mut d = Dataset::new(names).unwrap();
@@ -1301,12 +1021,6 @@ mod tests {
             d.push(row, t).unwrap();
         }
         d
-    }
-
-    /// The documented quantization margin: feature values farther than
-    /// this from every threshold route identically on the f32 lane.
-    fn quantization_margin(x: f64, t: f64) -> f64 {
-        x.abs().max(t.abs()) * f32::EPSILON as f64 + f32::MIN_POSITIVE as f64
     }
 
     proptest! {
@@ -1361,7 +1075,7 @@ mod tests {
             }
         }
 
-        /// The tentpole equivalence: the chunked level-order walk, the
+        /// The tentpole equivalence: the chunked lane walk, the
         /// scalar pre-order walk, and the boxed tree agree bit-for-bit on
         /// random trees and random strided batches.
         #[test]
@@ -1445,117 +1159,6 @@ mod tests {
                     prop_assert_eq!(s.to_bits(), flat.predict(row).to_bits());
                     prop_assert_eq!(b.to_bits(), flat.predict(row).to_bits());
                 }
-            }
-        }
-
-        /// The quantized lane's documented epsilon, both halves: records
-        /// keeping the margin from every threshold predict bit-identically,
-        /// and *every* quantized prediction is one of the tree's leaf
-        /// values (a margin violation can only route to another leaf).
-        #[test]
-        fn quantized_walk_matches_exact_within_documented_epsilon(
-            targets in proptest::collection::vec(-100.0f64..100.0, 2..48),
-            queries in proptest::collection::vec(-15.0f64..15.0, 0..90),
-        ) {
-            let data = random_dataset(&targets, 3);
-            let mut tree = DecisionTreeRegressor::new().with_max_depth(12);
-            tree.fit(&data).unwrap();
-            let flat = FlatTree::from_tree(&tree).unwrap();
-            let thresholds: Vec<f64> = flat
-                .feature
-                .iter()
-                .zip(&flat.threshold)
-                .filter(|(f, _)| **f != LEAF)
-                .map(|(_, t)| *t)
-                .collect();
-
-            // Nudge every query value out of the quantization margin of
-            // every threshold, so the contract's exact half applies.
-            let buf: Vec<f64> = queries
-                .iter()
-                .map(|&x| {
-                    let mut x = x;
-                    for &t in &thresholds {
-                        let m = quantization_margin(x, t);
-                        if (x - t).abs() <= m {
-                            x = t + 4.0 * m;
-                        }
-                    }
-                    x
-                })
-                .collect();
-            let buf = &buf[..buf.len() - buf.len() % 3];
-            let mut exact = Vec::new();
-            let mut quantized = Vec::new();
-            flat.predict_strided(buf, 3, &mut exact);
-            flat.predict_strided_quantized(buf, 3, &mut quantized);
-            for (e, q) in exact.iter().zip(&quantized) {
-                prop_assert_eq!(e.to_bits(), q.to_bits());
-            }
-
-            // Second half: raw (un-nudged) queries may cross, but every
-            // quantized prediction is still some leaf's value.
-            let leaves: Vec<u64> = flat
-                .feature
-                .iter()
-                .zip(&flat.value)
-                .filter(|(f, _)| **f == LEAF)
-                .map(|(_, v)| v.to_bits())
-                .collect();
-            let raw = &queries[..queries.len() - queries.len() % 3];
-            let mut out = Vec::new();
-            flat.predict_strided_quantized(raw, 3, &mut out);
-            for y in &out {
-                prop_assert!(leaves.contains(&y.to_bits()));
-            }
-        }
-
-        /// Forest quantized lane: margin-respecting records are
-        /// bit-identical to the exact chunked walk.
-        #[test]
-        fn forest_quantized_walk_matches_exact_within_documented_epsilon(
-            targets in proptest::collection::vec(-50.0f64..50.0, 6..32),
-            seed in 0u64..200,
-        ) {
-            let data = random_dataset(&targets, 4);
-            let mut forest = RandomForestRegressor::new()
-                .with_n_trees(5)
-                .with_seed(seed);
-            forest.fit(&data).unwrap();
-            let flat = FlatForest::from_forest(&forest).unwrap();
-            let thresholds: Vec<f64> = flat
-                .trees
-                .iter()
-                .flat_map(|t| {
-                    t.feature
-                        .iter()
-                        .zip(&t.threshold)
-                        .filter(|(f, _)| **f != LEAF)
-                        .map(|(_, t)| *t)
-                        .collect::<Vec<f64>>()
-                })
-                .collect();
-            let buf: Vec<f64> = data
-                .samples()
-                .iter()
-                .flat_map(|s| s.features().to_vec())
-                .map(|x| {
-                    let mut x = x;
-                    for &t in &thresholds {
-                        let m = quantization_margin(x, t);
-                        if (x - t).abs() <= m {
-                            x = t + 4.0 * m;
-                        }
-                    }
-                    x
-                })
-                .collect();
-            let mut exact = Vec::new();
-            let mut quantized = Vec::new();
-            flat.predict_strided(&buf, 4, &mut exact);
-            flat.predict_strided_quantized(&buf, 4, &mut quantized);
-            for (e, q) in exact.iter().zip(&quantized) {
-                prop_assert_eq!(e.to_bits(), q.to_bits());
             }
         }
     }

@@ -10,10 +10,8 @@
 //! mirror of the cross-application interference the paper models on the
 //! GPU. Non-predict commands (and predicts whose model cannot be
 //! resolved) ride a control shard. The shard map is immutable and
-//! swapped atomically when an admin `load` registers a new model;
-//! [`ServiceConfig::sharded`]` = false` collapses everything onto the
-//! control shard — the legacy single-queue engine, kept for A/B
-//! benchmarks. When any queue is full the service **sheds load** —
+//! swapped atomically when an admin `load` registers a new model.
+//! When any queue is full the service **sheds load** —
 //! [`ServeError::Overloaded`] immediately, never unbounded buffering —
 //! so a burst degrades into fast rejections instead of collapsing
 //! latency for everyone. Workers drain requests in small batches per
@@ -51,6 +49,7 @@ use crate::metrics::{
     Priority, RobustnessCounters, ShardSnapshot,
 };
 use crate::observe;
+use crate::protocol::RequestOptions;
 use crate::shard::{Shard, CONTROL_SHARD};
 use crate::snapshot::{self, ModelRegistry, ServableModel};
 use bagpred_core::nbag::{NBag, NBagMeasurement, MAX_BAG};
@@ -100,11 +99,6 @@ pub struct ServiceConfig {
     /// which injects nothing and costs one `Vec::is_empty` per site
     /// check; the `serve` binary arms it from `BAGPRED_FAULTS`.
     pub faults: Arc<FaultPlan>,
-    /// Per-model shard isolation (the default). `false` routes every
-    /// request to the single control shard — the legacy shared-queue
-    /// engine where a slow model head-of-line-blocks all others; kept
-    /// so benchmarks can measure exactly what sharding buys.
-    pub sharded: bool,
     /// Bound of the pending-prediction ring that outcome reports join
     /// against (oldest evicted first, counted as expired); `0` disables
     /// outcome tracking entirely.
@@ -150,7 +144,6 @@ impl Default for ServiceConfig {
             // success in between means the model itself is broken.
             quarantine_threshold: 3,
             faults: Arc::new(FaultPlan::none()),
-            sharded: true,
             // Room for one queue's worth of in-flight predictions per
             // model times a healthy margin; a minute covers any client
             // that acts on the prediction before reporting back.
@@ -298,10 +291,8 @@ pub enum Reply {
         /// the largest reply payloads, and predictions should not pay
         /// their size inline.
         metrics: Box<MetricsSnapshot>,
-        /// The shard this model's jobs wait in: its own shard when the
-        /// engine is sharded, the control shard in legacy single-queue
-        /// mode — so queue-wait attribution names the queue the job
-        /// actually sat in, never a queue it shared only notionally.
+        /// The model's own shard — the queue its jobs actually wait in;
+        /// `None` for a name no shard serves.
         shard: Option<Box<ShardSnapshot>>,
     },
     /// Registered models as `(name, description)` pairs, sorted.
@@ -399,8 +390,7 @@ pub struct StatsReport {
     /// Faults injected by the armed [`FaultPlan`] (0 in production).
     pub faults_injected: u64,
     /// Per-shard queue accounting: the control shard first, then every
-    /// model shard sorted by name. One entry (the control shard) when
-    /// the engine runs unsharded.
+    /// model shard sorted by name.
     pub shards: Vec<ShardSnapshot>,
     /// Outcome reports joined to their recorded prediction.
     pub outcomes_matched: u64,
@@ -733,7 +723,7 @@ pub(crate) struct Inner {
     pub(crate) model_metrics: ModelMetrics,
     pub(crate) config: ServiceConfig,
     /// The shard serving non-predict commands and predicts whose model
-    /// cannot be resolved at submit time; in unsharded mode, every job.
+    /// cannot be resolved at submit time.
     control: Arc<Shard<Job>>,
     /// The per-model shard map. The inner `Arc<HashMap>` is immutable:
     /// routing clones it under a brief read lock and looks up lock-free;
@@ -772,16 +762,14 @@ impl Inner {
     }
 
     /// The shard `request` waits in: the resolved model's shard for
-    /// predicts (sharded mode), the control shard for everything else —
-    /// commands, unsharded mode, and predicts that will fail model
-    /// resolution (the worker produces their error reply).
+    /// predicts, the control shard for everything else — commands and
+    /// predicts that will fail model resolution (the worker produces
+    /// their error reply).
     fn route(&self, request: &Request) -> Arc<Shard<Job>> {
-        if self.config.sharded {
-            if let Request::Predict { model, apps } = request {
-                if let Ok((name, _)) = resolve_model(&self.registry, model, apps.len()) {
-                    if let Some(shard) = self.shard_map().get(&name) {
-                        return Arc::clone(shard);
-                    }
+        if let Request::Predict { model, apps } = request {
+            if let Ok((name, _)) = resolve_model(&self.registry, model, apps.len()) {
+                if let Some(shard) = self.shard_map().get(&name) {
+                    return Arc::clone(shard);
                 }
             }
         }
@@ -809,26 +797,17 @@ impl Inner {
         snapshots
     }
 
-    /// The shard reported by `stats model=<name>`: the model's own in
-    /// sharded mode, the control shard (where its jobs actually wait)
-    /// otherwise.
+    /// The shard reported by `stats model=<name>`: the model's own.
     fn shard_snapshot_for(&self, name: &str) -> Option<ShardSnapshot> {
-        if self.config.sharded {
-            self.shard_map().get(name).map(|s| s.snapshot())
-        } else {
-            Some(self.control.snapshot())
-        }
+        self.shard_map().get(name).map(|s| s.snapshot())
     }
 
     /// Guarantees a shard (with running workers) for `name`, swapping in
     /// an extended map. Called at `load` time for newly registered
-    /// models; a no-op when the shard exists or the engine is unsharded.
-    /// Shards are never removed — a model name, once served, keeps its
-    /// queue accounting for the life of the engine.
+    /// models; a no-op when the shard exists. Shards are never removed —
+    /// a model name, once served, keeps its queue accounting for the life
+    /// of the engine.
     fn ensure_shard(&self, name: &str) {
-        if !self.config.sharded {
-            return;
-        }
         let mut shards = self.shards.write().unwrap_or_else(PoisonError::into_inner);
         if shards.contains_key(name) || self.shutdown.load(Ordering::Acquire) {
             return;
@@ -873,18 +852,14 @@ impl PredictionService {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
-        let shards: HashMap<String, Arc<Shard<Job>>> = if config.sharded {
-            registry
-                .list()
-                .into_iter()
-                .map(|(name, _)| {
-                    let shard = Arc::new(Shard::new(&name, config.queue_capacity));
-                    (name, shard)
-                })
-                .collect()
-        } else {
-            HashMap::new()
-        };
+        let shards: HashMap<String, Arc<Shard<Job>>> = registry
+            .list()
+            .into_iter()
+            .map(|(name, _)| {
+                let shard = Arc::new(Shard::new(&name, config.queue_capacity));
+                (name, shard)
+            })
+            .collect();
         let inner = Arc::new(Inner {
             registry,
             platforms,
@@ -922,73 +897,28 @@ impl PredictionService {
 
     /// Enqueues a request; the reply arrives on the returned channel.
     ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the queue is full (load shedding)
-    /// and [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown).
-    pub fn submit(&self, request: Request) -> Result<mpsc::Receiver<Outcome>, ServeError> {
-        self.submit_traced(request, Trace::new())
-    }
-
-    /// Enqueues a request carrying an already-started [`Trace`] (the TCP
-    /// front-end starts one per wire line and marks its parse stage
-    /// before submitting). Same contract as [`submit`](Self::submit).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the queue is full (load shedding)
-    /// and [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown).
-    pub fn submit_traced(
-        &self,
-        request: Request,
-        trace: Trace,
-    ) -> Result<mpsc::Receiver<Outcome>, ServeError> {
-        self.submit_traced_deadline(request, trace, None)
-    }
-
-    /// [`submit_traced`](Self::submit_traced) with an optional relative
-    /// deadline: if no worker picks the job up within the budget it is
-    /// shed at dequeue with [`ServeError::DeadlineExceeded`] instead of
-    /// serving a reply nobody is waiting for.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the queue is full (load shedding)
-    /// and [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown).
-    pub fn submit_traced_deadline(
-        &self,
-        request: Request,
-        trace: Trace,
-        deadline: Option<Duration>,
-    ) -> Result<mpsc::Receiver<Outcome>, ServeError> {
-        self.submit_traced_options(request, trace, deadline, Priority::Normal)
-    }
-
-    /// [`submit_traced_deadline`](Self::submit_traced_deadline) with an
-    /// explicit brownout [`Priority`] (the text protocol's `prio=`
-    /// option rides in through here).
+    /// `trace` is an already-started [`Trace`] (the TCP front-end starts
+    /// one per wire line and marks its parse stage before submitting;
+    /// in-process callers pass `Trace::new()`). `options` carries the
+    /// brownout [`Priority`] and an optional relative deadline: if no
+    /// worker picks the job up within the budget it is shed at dequeue
+    /// with [`ServeError::DeadlineExceeded`] instead of serving a reply
+    /// nobody is waiting for. `hedge_of` links only tagged submissions
+    /// and is ignored here.
     ///
     /// # Errors
     ///
     /// [`ServeError::Overloaded`] when the queue is full or a brownout
     /// watermark shed the priority class, and
     /// [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown).
-    pub fn submit_traced_options(
+    pub fn submit(
         &self,
         request: Request,
         trace: Trace,
-        deadline: Option<Duration>,
-        priority: Priority,
+        options: RequestOptions,
     ) -> Result<mpsc::Receiver<Outcome>, ServeError> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(
-            request,
-            trace,
-            deadline,
-            priority,
-            None,
-            ReplySink::Direct(tx),
-        )?;
+        self.enqueue(request, trace, options, ReplySink::Direct(tx))?;
         Ok(rx)
     }
 
@@ -996,47 +926,38 @@ impl PredictionService {
     /// client-assigned request id on a shared reply channel — the
     /// binary protocol's multiplexed path: one connection, many
     /// in-flight requests, replies forwarded in completion order.
-    /// `priority` picks the brownout class; `hedge_of` links the
-    /// request to an earlier attempt so hedge pairs count once.
+    /// `options` is [`submit`](Self::submit)'s, plus `hedge_of`, which
+    /// links the request to an earlier attempt so hedge pairs count once.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when the target shard's queue is full
-    /// (or brownout shed the priority class)
-    /// and [`ServeError::ShuttingDown`] after [`shutdown`](Self::shutdown).
-    #[allow(clippy::too_many_arguments)] // crate-internal; mirrors `enqueue`
+    /// Same as [`submit`](Self::submit).
     pub(crate) fn submit_tagged(
         &self,
         request: Request,
         trace: Trace,
-        deadline: Option<Duration>,
-        priority: Priority,
-        hedge_of: Option<u64>,
+        options: RequestOptions,
         request_id: u64,
         tx: mpsc::Sender<(u64, Outcome)>,
     ) -> Result<(), ServeError> {
-        self.enqueue(
-            request,
-            trace,
-            deadline,
-            priority,
-            hedge_of,
-            ReplySink::Tagged(request_id, tx),
-        )
+        self.enqueue(request, trace, options, ReplySink::Tagged(request_id, tx))
     }
 
     fn enqueue(
         &self,
         request: Request,
         trace: Trace,
-        deadline: Option<Duration>,
-        priority: Priority,
-        hedge_of: Option<u64>,
+        options: RequestOptions,
         tx: ReplySink,
     ) -> Result<(), ServeError> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
+        let RequestOptions {
+            deadline,
+            priority,
+            hedge_of,
+        } = options;
         let deadline = deadline.map(|budget| Instant::now() + budget);
         let shard = self.inner.route(&request);
         // Brownout: under queue pressure, shed the lower classes before
@@ -1097,58 +1018,14 @@ impl PredictionService {
         do_cancel(&self.inner, id)
     }
 
-    /// Blocking convenience: submit and wait for the reply.
+    /// Blocking convenience: submit with a fresh trace and default
+    /// options, and wait for the reply.
     ///
     /// # Errors
     ///
     /// Submission errors plus every per-request [`ServeError`].
     pub fn call(&self, request: Request) -> Outcome {
-        let rx = self.submit(request)?;
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
-    }
-
-    /// [`call`](Self::call) with an already-started [`Trace`].
-    ///
-    /// # Errors
-    ///
-    /// Submission errors plus every per-request [`ServeError`].
-    pub fn call_traced(&self, request: Request, trace: Trace) -> Outcome {
-        let rx = self.submit_traced(request, trace)?;
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
-    }
-
-    /// [`call_traced`](Self::call_traced) with an optional relative
-    /// deadline (see [`submit_traced_deadline`](Self::submit_traced_deadline)).
-    ///
-    /// # Errors
-    ///
-    /// Submission errors plus every per-request [`ServeError`],
-    /// including [`ServeError::DeadlineExceeded`].
-    pub fn call_traced_deadline(
-        &self,
-        request: Request,
-        trace: Trace,
-        deadline: Option<Duration>,
-    ) -> Outcome {
-        let rx = self.submit_traced_deadline(request, trace, deadline)?;
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
-    }
-
-    /// [`call_traced_deadline`](Self::call_traced_deadline) with an
-    /// explicit brownout [`Priority`].
-    ///
-    /// # Errors
-    ///
-    /// Submission errors plus every per-request [`ServeError`],
-    /// including brownout sheds as [`ServeError::Overloaded`].
-    pub fn call_traced_options(
-        &self,
-        request: Request,
-        trace: Trace,
-        deadline: Option<Duration>,
-        priority: Priority,
-    ) -> Outcome {
-        let rx = self.submit_traced_options(request, trace, deadline, priority)?;
+        let rx = self.submit(request, Trace::new(), RequestOptions::default())?;
         rx.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
@@ -1441,9 +1318,9 @@ fn summarize(request: &Request) -> String {
 /// Processes one drained batch with **semantic** batching: every predict
 /// job resolves its model and collects features up front, the jobs are
 /// grouped by the model that will serve them, and each group is answered
-/// by a single `predict_batch` call over the compiled flat model — the
-/// chunked level-order walk with `bagpred_ml::LANES` records in flight
-/// per loop iteration instead of one full dispatch per request.
+/// by a single `predict_batch` call over the compiled flat model instead
+/// of one full dispatch per request (groups of `bagpred_ml::LANES` or
+/// more rows take the lane walk; smaller ones the pre-order walk).
 /// Non-predict requests and failed preparations complete individually.
 /// Predictions are bit-identical to the per-request path.
 fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
@@ -2238,14 +2115,18 @@ mod tests {
         let mut shed = false;
         let mut pending = Vec::new();
         for batch in 0..2_000usize {
-            let outcome = service.submit(Request::Predict {
-                model: Some(NBAG_MODEL.into()),
-                apps: vec![
-                    Workload::new(Benchmark::Sift, 10 + batch),
-                    Workload::new(Benchmark::Knn, 10 + batch),
-                    Workload::new(Benchmark::Orb, 10 + batch),
-                ],
-            });
+            let outcome = service.submit(
+                Request::Predict {
+                    model: Some(NBAG_MODEL.into()),
+                    apps: vec![
+                        Workload::new(Benchmark::Sift, 10 + batch),
+                        Workload::new(Benchmark::Knn, 10 + batch),
+                        Workload::new(Benchmark::Orb, 10 + batch),
+                    ],
+                },
+                Trace::new(),
+                RequestOptions::default(),
+            );
             match outcome {
                 Err(ServeError::Overloaded) => {
                     shed = true;
@@ -2320,9 +2201,9 @@ mod tests {
             "queue wait is reported separately per model"
         );
         assert_eq!(metrics.service.samples, 4);
-        // The sharded engine attributes queue wait to the model's own
-        // shard — the queue these jobs actually sat in.
-        let shard = shard.expect("sharded engine reports a shard");
+        // Queue wait is attributed to the model's own shard — the queue
+        // these jobs actually sat in.
+        let shard = shard.expect("a served model reports its shard");
         assert_eq!(shard.name, PAIR_MODEL);
         assert_eq!(shard.served, 4);
         assert_eq!(shard.queue_wait.samples, 4);
@@ -2810,8 +2691,18 @@ mod tests {
                 apps: pair_apps(),
             })
             .expect("served by the respawned worker");
-        let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
-            panic!("stats failed")
+        // Either abort may land on another shard's worker, whose
+        // supervisor counts the respawn only after unwinding — possibly
+        // after both calls here have been answered. Wait for the count.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let stats = loop {
+            let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
+                panic!("stats failed")
+            };
+            if stats.worker_respawns >= 2 || Instant::now() >= deadline {
+                break stats;
+            }
+            thread::sleep(Duration::from_millis(5));
         };
         assert_eq!(stats.worker_respawns, 2);
         assert_eq!(stats.faults_injected, 2);
@@ -2824,26 +2715,28 @@ mod tests {
         // A zero budget has always expired by pickup time, whatever the
         // queue does — deterministic without any sleeps.
         let err = service
-            .call_traced_deadline(
+            .submit(
                 Request::Predict {
                     model: Some(PAIR_MODEL.into()),
                     apps: pair_apps(),
                 },
                 Trace::new(),
-                Some(Duration::ZERO),
+                RequestOptions {
+                    deadline: Some(Duration::ZERO),
+                    ..RequestOptions::default()
+                },
             )
+            .expect("enqueues")
+            .recv()
+            .expect("reply arrives")
             .expect_err("zero deadline must shed");
         assert!(matches!(err, ServeError::DeadlineExceeded), "{err:?}");
         // No deadline means wait forever — same request succeeds.
         service
-            .call_traced_deadline(
-                Request::Predict {
-                    model: Some(PAIR_MODEL.into()),
-                    apps: pair_apps(),
-                },
-                Trace::new(),
-                None,
-            )
+            .call(Request::Predict {
+                model: Some(PAIR_MODEL.into()),
+                apps: pair_apps(),
+            })
             .expect("no deadline, no shed");
         let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
             panic!("stats failed")
@@ -2857,7 +2750,7 @@ mod tests {
     fn tagged(service: &PredictionService, id: u64, request: Request) -> Outcome {
         let (tx, rx) = mpsc::channel();
         service
-            .submit_tagged(request, Trace::new(), None, Priority::Normal, None, id, tx)
+            .submit_tagged(request, Trace::new(), RequestOptions::default(), id, tx)
             .expect("enqueues");
         let (got, outcome) = rx.recv().expect("reply arrives");
         assert_eq!(got, id, "reply must carry the request's own id");
@@ -3089,13 +2982,17 @@ mod tests {
             },
         );
         service
-            .call_traced(
+            .submit(
                 Request::Predict {
                     model: Some(PAIR_MODEL.into()),
                     apps: pair_apps(),
                 },
                 Trace::with_context("00-abc123-span7-01"),
+                RequestOptions::default(),
             )
+            .expect("enqueues")
+            .recv()
+            .expect("reply arrives")
             .expect("predicts");
         let event = service
             .slow_events()
@@ -3141,10 +3038,14 @@ mod tests {
     /// until the worker has picked it up (the shard queue drains).
     fn pin_worker(service: &PredictionService) -> mpsc::Receiver<Outcome> {
         let rx = service
-            .submit(Request::Predict {
-                model: Some(PAIR_MODEL.into()),
-                apps: pair_apps(),
-            })
+            .submit(
+                Request::Predict {
+                    model: Some(PAIR_MODEL.into()),
+                    apps: pair_apps(),
+                },
+                Trace::new(),
+                RequestOptions::default(),
+            )
             .expect("blocker enqueues");
         let deadline = Instant::now() + Duration::from_secs(2);
         while service.inner.queue_depth() > 0 {
@@ -3166,9 +3067,7 @@ mod tests {
                     apps: pair_apps(),
                 },
                 Trace::new(),
-                None,
-                Priority::Normal,
-                None,
+                RequestOptions::default(),
                 7,
                 tx,
             )
@@ -3234,9 +3133,10 @@ mod tests {
                     apps: pair_apps(),
                 },
                 Trace::new(),
-                None,
-                Priority::Normal,
-                Some(11),
+                RequestOptions {
+                    hedge_of: Some(11),
+                    ..RequestOptions::default()
+                },
                 12,
                 tx,
             )
@@ -3275,9 +3175,7 @@ mod tests {
             .submit_tagged(
                 predict.clone(),
                 Trace::new(),
-                None,
-                Priority::Normal,
-                None,
+                RequestOptions::default(),
                 21,
                 ptx,
             )
@@ -3287,9 +3185,10 @@ mod tests {
             .submit_tagged(
                 predict,
                 Trace::new(),
-                None,
-                Priority::Normal,
-                Some(21),
+                RequestOptions {
+                    hedge_of: Some(21),
+                    ..RequestOptions::default()
+                },
                 22,
                 htx,
             )
@@ -3334,9 +3233,10 @@ mod tests {
             service.submit_tagged(
                 predict(),
                 Trace::new(),
-                None,
-                priority,
-                None,
+                RequestOptions {
+                    priority,
+                    ..RequestOptions::default()
+                },
                 id,
                 tx.clone(),
             )
@@ -3402,9 +3302,7 @@ mod tests {
                                 apps: pair_apps(),
                             },
                             Trace::new(),
-                            None,
-                            Priority::Normal,
-                            None,
+                            RequestOptions::default(),
                             id,
                             tx,
                         )

@@ -229,10 +229,7 @@ impl ModelMetrics {
 /// Lock-free accounting for one engine shard (per-model queue + worker
 /// set). Distinct from the per-model [`Metrics`] entry: that one tracks
 /// request outcomes by model *name* across reloads, while these track
-/// the queue the job actually waited in — under sharding the two agree,
-/// and in legacy single-queue mode every model's stats point at the one
-/// control shard, making the old shared-queue attribution explicit
-/// instead of silently wrong.
+/// the queue the job actually waited in.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     enqueued: AtomicU64,

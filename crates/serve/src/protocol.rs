@@ -493,11 +493,9 @@ pub fn format_outcome(outcome: &Result<Reply, ServeError>) -> String {
                 format_summary("queue_wait", &m.queue_wait),
                 format_summary("service", &m.service),
             );
-            // The queue this model's jobs actually waited in: its own
-            // shard when the engine is sharded, the shared control shard
-            // otherwise — so `shard_wait` percentiles are attributable,
-            // unlike the old shared-queue `queue_wait` which mixed every
-            // model's waits together.
+            // The queue this model's jobs actually waited in — its own
+            // shard — so `shard_wait` percentiles are attributable to
+            // the model alone.
             if let Some(s) = shard {
                 out.push_str(&format!(
                     " shard={} shard_depth={} shard_enqueued={} shard_served={} shard_shed={} {}",

@@ -44,8 +44,7 @@ use crate::engine::{Outcome, PredictionService, Reply, Request};
 use crate::error::ServeError;
 use crate::fault::FaultSite;
 use crate::frame::{self, Frame, Payload};
-use crate::metrics::Priority;
-use crate::protocol::{format_outcome, parse_request_options};
+use crate::protocol::{format_outcome, parse_request_options, RequestOptions};
 use bagpred_obs::{Stage, Trace};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -531,12 +530,11 @@ fn handle_connection(
                                 Ok((request, _)) if request.is_admin() && !config.admin => {
                                     Err(ServeError::AdminDisabled)
                                 }
-                                Ok((request, options)) => service.call_traced_options(
-                                    request,
-                                    trace,
-                                    options.deadline,
-                                    options.priority,
-                                ),
+                                Ok((request, options)) => {
+                                    service.submit(request, trace, options).and_then(|rx| {
+                                        rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+                                    })
+                                }
                             })
                         }
                     }
@@ -762,15 +760,13 @@ fn dispatch_frame(
             let mut trace = make_trace();
             trace.mark(Stage::Parse); // frame decode is the parse work
             let request = Request::Predict { model, apps };
-            if let Err(err) = service.submit_tagged(
-                request,
-                trace,
+            let options = RequestOptions {
                 deadline,
                 priority,
-                hedge_of.map(|primary| namespaced(conn_tag, primary)),
-                request_id,
-                tx.clone(),
-            ) {
+                hedge_of: hedge_of.map(|primary| namespaced(conn_tag, primary)),
+            };
+            if let Err(err) = service.submit_tagged(request, trace, options, request_id, tx.clone())
+            {
                 let _ = tx.send((request_id, Err(err)));
             }
             true
@@ -805,17 +801,15 @@ fn dispatch_frame(
                 Ok((request, _)) if request.is_admin() && !config.admin => {
                     Err(ServeError::AdminDisabled)
                 }
-                Ok((request, options)) => service.submit_tagged(
-                    request,
-                    trace,
-                    options.deadline,
-                    options.priority,
-                    options
-                        .hedge_of
-                        .map(|primary| namespaced(conn_tag, primary)),
-                    request_id,
-                    tx.clone(),
-                ),
+                Ok((request, options)) => {
+                    let options = RequestOptions {
+                        hedge_of: options
+                            .hedge_of
+                            .map(|primary| namespaced(conn_tag, primary)),
+                        ..options
+                    };
+                    service.submit_tagged(request, trace, options, request_id, tx.clone())
+                }
             };
             if let Err(err) = submitted {
                 let _ = tx.send((request_id, Err(err)));
@@ -836,9 +830,7 @@ fn dispatch_frame(
             if let Err(err) = service.submit_tagged(
                 request,
                 trace,
-                None,
-                Priority::Normal,
-                None,
+                RequestOptions::default(),
                 request_id,
                 tx.clone(),
             ) {
@@ -960,6 +952,7 @@ fn read_full(reader: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> io::R
 mod tests {
     use super::*;
     use crate::engine::{Request, ServiceConfig};
+    use crate::metrics::Priority;
     use crate::testutil;
     use bagpred_core::Platforms;
     use std::io::BufRead;
@@ -1262,12 +1255,14 @@ mod tests {
             &["predict SIFT@20+KNN@40", "predict HOG@20+FAST@80"],
         );
         assert!(replies.iter().all(|r| r.starts_with("ok model=")));
+        // The reply-write span is recorded after the write the client
+        // already read; joining the connection threads orders it first.
+        server.shutdown();
         // Only the TCP front-end marks these stages; two wire requests
         // mean two parse samples and two reply-write samples.
         assert_eq!(service.stages().stage(Stage::Parse).count(), 2);
         assert_eq!(service.stages().stage(Stage::ReplyWrite).count(), 2);
         assert_eq!(service.stages().stage(Stage::QueueWait).count(), 2);
-        server.shutdown();
         service.shutdown();
     }
 

@@ -54,7 +54,7 @@ echo "== wire protocol: frame codec + sharding isolation (bounded at 300s) =="
 # connection, the negotiated binary client must render replies
 # byte-identical to the text dialect, predictions over the binary wire
 # must be bit-identical to the offline predictor, and a slowed model
-# must not drag a fast peer's p99 when sharding is on.
+# must not drag a fast peer's p99 off its own shard.
 timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
   frame::prop_tests::round_trip_is_identity \
   frame::prop_tests::mutated_frames_fail_typed_never_panic \
@@ -63,7 +63,7 @@ timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
   client::tests::client_negotiates_binary_and_renders_identical_reply_lines
 timeout 300 cargo test -q --test serving -- --exact \
   binary_wire_predictions_are_bit_identical_to_the_offline_predictor \
-  shard_isolation_keeps_fast_model_p99_near_baseline_while_unsharded_degrades
+  shard_isolation_keeps_fast_model_p99_near_baseline
 
 echo "== observability: histograms, traces, exposition (bounded at 180s) =="
 # The observability invariants, run by name so they can never be
@@ -157,21 +157,22 @@ timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
   server::tests::binary_cancel_opcode_answers_inline_and_late_after_the_reply \
   metrics::tests::brownout_and_cancel_counters_track_per_class
 
-echo "== flat traversal: level-order bit-identity + edge cases (bounded at 300s) =="
-# The lane-parallel traversal invariants, run by name so they can never
-# be silently filtered out: the chunked level-order walk (and its
-# bounds-check-free small-tree fast form) must be bit-identical to the
-# pre-order and boxed walks on random datasets, chunking must not
-# change results for any remainder size 0..16, the f32-quantized lane
-# must stay within its documented epsilon, and the hot-path edge cases
-# (zero-width rows, short or out-of-range remap maps) must fail with
-# their messaged asserts instead of raw index panics.
+echo "== flat traversal: lane-walk bit-identity + edge cases (bounded at 300s) =="
+# The flat-tree traversal invariants, run by name so they can never be
+# silently filtered out: the 16-lane chunked walk must be bit-identical
+# to the pre-order and boxed walks on random datasets, chunking must
+# not change results for any remainder size 0..16, trees too big for
+# the lane form (over 256 nodes, or a split feature >= 256) must fall
+# back to the pre-order walk bit-identically on every batch entry
+# point, and the hot-path edge cases (zero-width rows, short or
+# out-of-range remap maps) must fail with their messaged asserts
+# instead of raw index panics.
 timeout 300 cargo test -q -p bagpred-ml --lib -- --exact \
   flat::tests::level_order_walk_is_bit_identical_to_preorder_and_boxed \
   flat::tests::forest_level_order_walk_is_bit_identical_to_preorder_and_boxed \
   flat::tests::chunked_walk_equals_one_at_a_time_for_every_remainder \
-  flat::tests::quantized_walk_matches_exact_within_documented_epsilon \
-  flat::tests::forest_quantized_walk_matches_exact_within_documented_epsilon \
+  flat::tests::trees_beyond_256_nodes_walk_pre_order_bit_identically \
+  flat::tests::split_features_beyond_255_walk_pre_order_bit_identically \
   flat::tests::flat_tree_is_bit_identical_on_random_data \
   flat::tests::flat_forest_is_bit_identical_on_random_data \
   flat::tests::zero_width_strided_rows_are_rejected \
@@ -190,7 +191,6 @@ trap 'rm -f "$smoke_json" "${fleet_json:-}" "${fleet_json2:-}" "${soak1:-}" "${s
 ./target/release/repro bench --smoke --out "$smoke_json" \
   --baseline BENCH_pipeline.json --max-regression 2.0
 for key in schema smoke threads corpus_bags batch_records \
-  corpus_measure_serial_ms corpus_measure_parallel_ms \
   train_tree_ms train_forest_ms \
   loocv_serial_ms loocv_parallel_ms loocv_speedup \
   tree_single_ns_per_record tree_batch_ns_per_record tree_batch_speedup \
@@ -199,16 +199,13 @@ for key in schema smoke threads corpus_bags batch_records \
   stage_loocv_p95_us stage_loocv_fold_samples stage_loocv_fold_p50_us \
   stage_predict_single_p95_us stage_predict_batch_p95_us \
   serve_text_protocol_ns_per_request serve_binary_protocol_ns_per_request \
-  serve_protocol_speedup serve_text_ns_per_request serve_binary_ns_per_request \
-  serve_isolation_baseline_p99_us serve_isolation_sharded_p99_us \
-  serve_isolation_unsharded_p99_us \
+  serve_protocol_speedup \
   serve_obs_outcome_roundtrip_us obs_outcome_record_ns \
   serve_hedge_unhedged_p99_us serve_hedge_hedged_p99_us \
   serve_hedge_p99_improvement serve_cancel_roundtrip_us \
   flat_simd_tree_preorder_ns_per_record flat_simd_tree_ns_per_record \
   flat_simd_tree_speedup flat_simd_forest_preorder_ns_per_record \
   flat_simd_forest_ns_per_record flat_simd_forest_speedup \
-  flat_simd_forest_quantized_ns_per_record \
   obs_batch_overhead_percent; do
   grep -q "\"$key\"" "$smoke_json" || {
     echo "bench report is missing key: $key" >&2
@@ -240,7 +237,7 @@ awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }' || {
 }
 echo "binary protocol codec speedup over text: ${speedup}x (>= 1.5x)"
 
-# The chunked level-order forest walk must be >=2x the scalar pre-order
+# The 16-lane chunked forest walk must be >=2x the scalar pre-order
 # baseline on the committed full-corpus run (both sides measured in the
 # same run on the same jittered batch), and clearly ahead even on the
 # fast-to-train smoke corpus, whose shallower trees flatter the branchy
@@ -250,13 +247,13 @@ awk -v s="$committed_flat" 'BEGIN { exit !(s >= 2.0) }' || {
   echo "committed flat_simd_forest_speedup is ${committed_flat}x (gate: >= 2.0x)" >&2
   exit 1
 }
-echo "committed chunked level-order forest speedup: ${committed_flat}x (>= 2.0x)"
+echo "committed chunked lane-walk forest speedup: ${committed_flat}x (>= 2.0x)"
 smoke_flat="$(sed -n 's/.*"flat_simd_forest_speedup": \([0-9.]*\).*/\1/p' "$smoke_json")"
 awk -v s="$smoke_flat" 'BEGIN { exit !(s >= 1.2) }' || {
   echo "smoke flat_simd_forest_speedup is ${smoke_flat}x (floor: >= 1.2x)" >&2
   exit 1
 }
-echo "smoke chunked level-order forest speedup: ${smoke_flat}x (>= 1.2x floor)"
+echo "smoke chunked lane-walk forest speedup: ${smoke_flat}x (>= 1.2x floor)"
 
 # Hedged requests must cut the stalled-model p99 by >=2x on the
 # committed run (a 50ms every-50th stall that the adaptive-p95 hedge
@@ -346,5 +343,12 @@ timeout 300 cargo test -q -p bagpred-fleet --test determinism -- --exact \
   different_seed_different_bytes
 timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
   admission::prop_tests::place_invariants_hold
+
+echo "== loadbench: unit tests + end-to-end smoke (bounded at 600s) =="
+# The repository's benchmark is its own workspace (path deps on
+# crates/*), so neither tier-1 nor the workspace build above compiles
+# it. Its unit tests and the short smoke run catch an API change that
+# would break the benchmark before the benchmark itself runs.
+timeout 600 cargo test --release --offline --manifest-path loadbench/Cargo.toml
 
 echo "verify: OK"
