@@ -264,7 +264,7 @@ pub fn run_with(registry: &Arc<ModelRegistry>, cfg: &SoakConfig) -> SoakReport {
             panic!("stats must answer after the storm");
         };
         let m = &stats.metrics;
-        let settled = stats.queue_depth == 0 && m.received == m.succeeded + m.failed + 1;
+        let settled = stats.count("queue_depth") == 0 && m.received == m.succeeded + m.failed + 1;
         if settled || std::time::Instant::now() >= deadline {
             break stats;
         }
@@ -295,8 +295,11 @@ pub fn run_with(registry: &Arc<ModelRegistry>, cfg: &SoakConfig) -> SoakReport {
         ),
     );
     check(
-        stats.queue_depth == 0,
-        format!("clean drain: {} jobs still queued", stats.queue_depth),
+        stats.count("queue_depth") == 0,
+        format!(
+            "clean drain: {} jobs still queued",
+            stats.count("queue_depth")
+        ),
     );
     for shard in &stats.shards {
         check(
@@ -328,24 +331,25 @@ pub fn run_with(registry: &Arc<ModelRegistry>, cfg: &SoakConfig) -> SoakReport {
     // only bracket them because a cancel that races a worker's pickup
     // is absorbed without touching either counter.
     check(
-        stats.cancelled + stats.cancel_late <= explicit_cancels + hedges_fired,
+        stats.count("cancelled") + stats.count("cancel_late") <= explicit_cancels + hedges_fired,
         format!(
             "cancel counters bracket commands: {} + {} > {explicit_cancels} + {hedges_fired}",
-            stats.cancelled, stats.cancel_late
+            stats.count("cancelled"),
+            stats.count("cancel_late")
         ),
     );
     check(
-        stats.cancel_late >= cancel_late,
+        stats.count("cancel_late") >= cancel_late,
         format!(
             "every client-observed late cancel is counted: {} < {cancel_late}",
-            stats.cancel_late
+            stats.count("cancel_late")
         ),
     );
     check(
-        stats.hedge_deduped <= hedges_fired,
+        stats.count("hedge_deduped") <= hedges_fired,
         format!(
             "dedup never exceeds hedges fired: {} > {hedges_fired}",
-            stats.hedge_deduped
+            stats.count("hedge_deduped")
         ),
     );
     check(
@@ -360,13 +364,13 @@ pub fn run_with(registry: &Arc<ModelRegistry>, cfg: &SoakConfig) -> SoakReport {
         hedges_fired,
         hedge_wins,
         retries,
-        faults_injected: stats.faults_injected,
+        faults_injected: stats.count("faults_injected"),
         received: m.received,
         succeeded: m.succeeded,
         failed: m.failed,
-        cancelled: stats.cancelled,
-        cancel_late: stats.cancel_late,
-        hedge_deduped: stats.hedge_deduped,
+        cancelled: stats.count("cancelled"),
+        cancel_late: stats.count("cancel_late"),
+        hedge_deduped: stats.count("hedge_deduped"),
         violations,
     }
 }

@@ -161,7 +161,7 @@ pub fn load_or_train(platforms: &Platforms, dir: Option<&Path>) -> Result<Boot, 
     // registry whose write-back would only fail. A typo'd --models path
     // dies here with a typed error instead of a mid-boot panic.
     if let Err(e) = std::fs::create_dir_all(dir) {
-        boot_stats().on_snapshot_dir_error();
+        boot_stats().snapshot_dir_errors.inc();
         return Err(ServeError::SnapshotDir(format!(
             "create {}: {e}",
             dir.display()
@@ -171,7 +171,7 @@ pub fn load_or_train(platforms: &Platforms, dir: Option<&Path>) -> Result<Boot, 
     let report = match registry.load_dir_report(dir) {
         Ok(report) => report,
         Err(err) => {
-            boot_stats().on_snapshot_dir_error();
+            boot_stats().snapshot_dir_errors.inc();
             return Err(err);
         }
     };
@@ -258,7 +258,7 @@ mod tests {
         // the valid models and fence off the corrupt one, not abort.
         let saved = testutil::registry().save_dir(&dir).expect("saves");
         std::fs::write(dir.join("bad.bagsnap"), "not a snapshot\n").expect("writes");
-        let before = crate::metrics::boot_stats().snapshots_quarantined();
+        let before = crate::metrics::boot_stats().snapshots_quarantined.get();
         let boot = load_or_train(&Platforms::paper(), Some(&dir)).expect("boot survives");
         match boot.source {
             BootSource::Loaded(n) => assert_eq!(n, saved),
@@ -270,7 +270,7 @@ mod tests {
         assert!(corrupt.exists(), "corrupt file moved aside");
         assert!(!dir.join("bad.bagsnap").exists(), "original gone");
         assert!(
-            crate::metrics::boot_stats().snapshots_quarantined() > before,
+            crate::metrics::boot_stats().snapshots_quarantined.get() > before,
             "quarantine surfaced in the boot counters"
         );
         assert_eq!(boot.registry.list(), testutil::registry().list());
@@ -320,11 +320,11 @@ mod tests {
         let blocker = scratch.join("blocker");
         std::fs::write(&blocker, "i am a file\n").expect("writes");
         let dir = blocker.join("models");
-        let before = boot_stats().snapshot_dir_errors();
+        let before = boot_stats().snapshot_dir_errors.get();
         let err = load_or_train(&Platforms::paper(), Some(&dir)).expect_err("must error typed");
         assert!(matches!(err, ServeError::SnapshotDir(_)), "{err}");
         assert!(
-            boot_stats().snapshot_dir_errors() > before,
+            boot_stats().snapshot_dir_errors.get() > before,
             "dir error surfaced in the boot counters"
         );
         std::fs::remove_dir_all(&scratch).ok();

@@ -41,14 +41,14 @@
 //! [`ServiceConfig::faults`].
 
 use crate::admission::{self, Placement};
-use crate::cache::{CacheMapStats, FeatureCache};
+use crate::cache::FeatureCache;
 use crate::error::ServeError;
 use crate::fault::{panic_message, FaultPlan, FaultSite, HealthReport, ModelHealth};
 use crate::metrics::{
-    BrownoutPressure, Metrics, MetricsSnapshot, ModelMetrics, OutcomeCounters, OutcomeTrackers,
-    Priority, RobustnessCounters, ShardSnapshot,
+    BrownoutPressure, Counter, Metrics, MetricsSnapshot, ModelMetrics, OutcomeCounters,
+    OutcomeTrackers, Priority, RobustnessCounters, ShardSnapshot,
 };
-use crate::observe;
+use crate::observe::{self, StatsReport};
 use crate::protocol::RequestOptions;
 use crate::shard::{Shard, CONTROL_SHARD};
 use crate::snapshot::{self, ModelRegistry, ServableModel};
@@ -279,8 +279,10 @@ pub enum Reply {
     },
     /// Admission decision.
     Schedule(Placement),
-    /// Service statistics (boxed: the report is by far the largest
-    /// reply payload, and every prediction would pay its size inline).
+    /// Service statistics: one read of every signal-table row plus the
+    /// latency summaries and per-shard snapshots (boxed: the report is
+    /// by far the largest reply payload, and every prediction would pay
+    /// its size inline).
     Stats(Box<StatsReport>),
     /// One model's request counters and latency window.
     ModelStats {
@@ -349,71 +351,6 @@ pub enum Reply {
         /// at dequeue; false when it had already completed (late).
         pending: bool,
     },
-}
-
-/// Everything the `stats` command reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsReport {
-    /// Request counters and latency window.
-    pub metrics: MetricsSnapshot,
-    /// Feature-cache lookups answered without computing.
-    pub cache_hits: u64,
-    /// Feature-cache lookups that computed.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`, 0 when idle.
-    pub cache_hit_rate: f64,
-    /// Entries across all cache maps.
-    pub cache_entries: usize,
-    /// Entries evicted to respect the cache capacity bound.
-    pub cache_evictions: u64,
-    /// Per-map cache counters, in stable order: apps, fairness, nbags, profiles.
-    pub cache_maps: [CacheMapStats; 4],
-    /// Registered models.
-    pub models: usize,
-    /// Requests queued but not yet picked up at snapshot time.
-    pub queue_depth: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Slow requests ever captured (including ones since evicted from
-    /// the ring).
-    pub slow_captured: u64,
-    /// Predict panics caught and answered with `err internal`.
-    pub worker_panics: u64,
-    /// Worker loops respawned after a panic escaped batch isolation.
-    pub worker_respawns: u64,
-    /// Requests shed at dequeue because their deadline had expired.
-    pub deadline_expired: u64,
-    /// Times any model entered quarantine.
-    pub quarantines: u64,
-    /// Models currently quarantined.
-    pub quarantined_models: usize,
-    /// Faults injected by the armed [`FaultPlan`] (0 in production).
-    pub faults_injected: u64,
-    /// Per-shard queue accounting: the control shard first, then every
-    /// model shard sorted by name.
-    pub shards: Vec<ShardSnapshot>,
-    /// Outcome reports joined to their recorded prediction.
-    pub outcomes_matched: u64,
-    /// Outcome reports whose id had no pending prediction.
-    pub outcomes_orphaned: u64,
-    /// Recorded predictions evicted unmatched (TTL or ring capacity).
-    pub outcomes_expired: u64,
-    /// Predictions currently awaiting their outcome.
-    pub outcomes_pending: usize,
-    /// Drift alarm edges (models newly flagged as drifting).
-    pub drift_alarms: u64,
-    /// Models whose drift alarm is currently latched.
-    pub drifting_models: usize,
-    /// Requests cancelled by id and dropped at dequeue before predict.
-    pub cancelled: u64,
-    /// Cancel commands that arrived after their target completed.
-    pub cancel_late: u64,
-    /// Hedge-pair duplicates whose successful reply was served but
-    /// deduplicated out of per-model stats and the outcome ring.
-    pub hedge_deduped: u64,
-    /// Predicts shed by brownout watermarks, per priority class in
-    /// [`Priority::ALL`] order (high, normal, low).
-    pub brownout_shed: [u64; 3],
 }
 
 /// The outcome a submitter receives on its channel.
@@ -781,12 +718,6 @@ impl Inner {
         self.pending.len()
     }
 
-    /// Jobs queued across the control shard and every model shard.
-    pub(crate) fn queue_depth(&self) -> usize {
-        let shards = self.shard_map();
-        self.control.depth() + shards.values().map(|s| s.depth()).sum::<usize>()
-    }
-
     /// Per-shard snapshots: control first, then model shards by name.
     pub(crate) fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
         let map = self.shard_map();
@@ -873,14 +804,14 @@ impl PredictionService {
             shutdown: AtomicBool::new(false),
             stages: StageSet::new(),
             events: EventLog::new(config.event_log_capacity),
-            robust: RobustnessCounters::new(),
+            robust: RobustnessCounters::default(),
             health: ModelHealth::new(),
             pending: PendingOutcomes::new(config.outcome_capacity, config.outcome_ttl),
             cancels: CancelRegistry::new(),
             // Sized like the outcome ring: one queue's worth of hedge
             // pairs per model with margin; stale pairs age out FIFO.
             hedges: HedgeLedger::new(1024),
-            outcomes: OutcomeCounters::new(),
+            outcomes: OutcomeCounters::default(),
             trackers: OutcomeTrackers::new(config.drift_delta, config.drift_lambda),
             config,
         });
@@ -967,9 +898,9 @@ impl PredictionService {
         if matches!(request, Request::Predict { .. }) {
             if let Some(threshold) = brownout_threshold(&self.inner.config, priority) {
                 if shard.depth() >= threshold {
-                    self.inner.metrics.on_shed();
-                    shard.counters().on_shed();
-                    self.inner.robust.on_brownout_shed(priority);
+                    self.inner.metrics.shed.inc();
+                    shard.counters().shed.inc();
+                    self.inner.robust.brownout_shed[priority.index()].inc();
                     return Err(ServeError::Overloaded);
                 }
             }
@@ -993,7 +924,7 @@ impl PredictionService {
         // Count inside the shard's queue lock: a worker can pick the
         // job up the moment the lock drops, and `stats` must already
         // see it.
-        match shard.try_push(job, || self.inner.metrics.on_received()) {
+        match shard.try_push(job, || self.inner.metrics.received.inc()) {
             Ok(()) => Ok(()),
             Err(job) => {
                 if let Some(id) = job.tx.tag() {
@@ -1002,7 +933,7 @@ impl PredictionService {
                         self.inner.hedges.unlink(id);
                     }
                 }
-                self.inner.metrics.on_shed();
+                self.inner.metrics.shed.inc();
                 Err(ServeError::Overloaded)
             }
         }
@@ -1057,6 +988,12 @@ impl PredictionService {
     /// The per-model panic/quarantine state behind the `health` command.
     pub fn health(&self) -> &ModelHealth {
         &self.inner.health
+    }
+
+    /// The engine state, for crate tests that render its views directly.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Inner {
+        &self.inner
     }
 
     /// The armed fault plan (the empty plan unless a test or
@@ -1153,7 +1090,7 @@ fn supervise_worker(inner: &Inner, shard: &Shard<Job>) {
                 // queue lock) and drained jobs were already answered by
                 // batch isolation; the fresh loop picks up where the
                 // dead one left off.
-                inner.robust.on_worker_respawn();
+                inner.robust.worker_respawns.inc();
             }
         }
     }
@@ -1183,7 +1120,7 @@ fn do_cancel(inner: &Inner, id: u64) -> bool {
     }
     let pending = inner.cancels.request_cancel(id);
     if !pending {
-        inner.robust.on_cancel_late();
+        inner.robust.cancel_late.inc();
     }
     inner.stages.record(Stage::Cancel, started.elapsed());
     pending
@@ -1229,7 +1166,7 @@ fn finish(inner: &Inner, model: Option<&str>, job: Job, outcome: Outcome) {
         _ => false,
     };
     if deduped {
-        inner.robust.on_hedge_deduped();
+        inner.robust.hedge_deduped.inc();
     }
     let total = job.trace.total();
     let queue_wait = job.trace.duration_of(Stage::QueueWait).unwrap_or_default();
@@ -1265,7 +1202,7 @@ fn finish(inner: &Inner, model: Option<&str>, job: Job, outcome: Outcome) {
             let expired = inner
                 .pending
                 .record(id, model, predicted_micros(*predicted_s));
-            inner.outcomes.on_expired(expired);
+            inner.outcomes.expired.add(expired);
         }
     }
     job.tx.send(outcome);
@@ -1335,8 +1272,8 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
         // has given up (or will the instant it checks), so a late reply
         // only burns predict time other requests are queued behind.
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            inner.robust.on_deadline_expired();
-            shard.counters().on_shed();
+            inner.robust.deadline_expired.inc();
+            shard.counters().shed.inc();
             finish(inner, None, job, Err(ServeError::DeadlineExceeded));
             continue;
         }
@@ -1348,8 +1285,8 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
             .tag()
             .is_some_and(|id| inner.cancels.take_cancelled(id))
         {
-            inner.robust.on_cancelled();
-            shard.counters().on_shed();
+            inner.robust.cancelled.inc();
+            shard.counters().shed.inc();
             finish(inner, None, job, Err(ServeError::Cancelled));
             continue;
         }
@@ -1363,7 +1300,7 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
                 process(inner, &job.request, &mut job.trace)
             }));
             let (served_by, outcome) = result.unwrap_or_else(|payload| {
-                inner.robust.on_worker_panic();
+                inner.robust.worker_panics.inc();
                 (
                     None,
                     Err(ServeError::Internal(format!(
@@ -1461,12 +1398,12 @@ where
         }
         Err(payload) => {
             let message = panic_message(payload.as_ref());
-            inner.robust.on_worker_panic();
+            inner.robust.worker_panics.inc();
             let quarantined = inner
                 .health
                 .on_panic(name, inner.config.quarantine_threshold);
             if quarantined {
-                inner.robust.on_quarantine();
+                inner.robust.quarantines.inc();
             }
             // Panics are always event-worthy, not just when slow: the
             // ring is how `trace` explains a burst of `err internal`.
@@ -1564,7 +1501,7 @@ fn prepare_predict(
         ));
     }
     let (name, model) = resolve_model(&inner.registry, model, apps.len()).map_err(|e| (None, e))?;
-    inner.model_metrics.for_model(&name).on_received();
+    inner.model_metrics.for_model(&name).received.inc();
     // Fence quarantined models *before* feature collection: the request
     // is counted against the model (operators see the refused traffic)
     // but costs nothing else and cannot re-trigger the panic.
@@ -1602,29 +1539,17 @@ fn prepare_predict(
     Ok((name, model, record))
 }
 
-/// Handles one request, returning the outcome plus the name of the model
-/// that served it (when one was resolved) for per-model accounting.
+/// Handles one non-predict request, returning the outcome plus the name
+/// of the model that served it (when one was resolved) for per-model
+/// accounting. Predicts never arrive here: [`process_batch`] groups them
+/// by model and predicts each group in one batch.
 fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<String>, Outcome) {
     match request {
-        Request::Predict { model, apps } => match prepare_predict(inner, model, apps, trace) {
-            Ok((name, model, record)) => {
-                let started = Instant::now();
-                let predicted_s = match (&*model, &record) {
-                    (ServableModel::Pair(p), PreparedRecord::Pair(m)) => p.predict(m),
-                    (ServableModel::NBag(p), PreparedRecord::NBag(m)) => p.predict(m),
-                    _ => unreachable!("record kind always matches model kind"),
-                };
-                trace.mark_for(Stage::Predict, started.elapsed());
-                (
-                    Some(name.clone()),
-                    Ok(Reply::Prediction {
-                        model: name,
-                        predicted_s,
-                    }),
-                )
-            }
-            Err((served_by, err)) => (served_by, Err(err)),
-        },
+        Request::Predict { .. } => {
+            unreachable!(
+                "process_batch sends every predict through prepare_predict and finish_group"
+            )
+        }
         Request::Schedule {
             model,
             gpus,
@@ -1649,7 +1574,7 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
                 Ok(resolved) => resolved,
                 Err(err) => return (None, Err(err)),
             };
-            inner.model_metrics.for_model(&name).on_received();
+            inner.model_metrics.for_model(&name).received.inc();
             let started = Instant::now();
             let outcome = admission::admit(
                 &model,
@@ -1666,40 +1591,7 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
             (Some(name), outcome)
         }
         Request::Stats { model: None } => {
-            let queue_depth = inner.queue_depth();
-            (
-                None,
-                Ok(Reply::Stats(Box::new(StatsReport {
-                    metrics: inner.metrics.snapshot(),
-                    cache_hits: inner.cache.hits(),
-                    cache_misses: inner.cache.misses(),
-                    cache_hit_rate: inner.cache.hit_rate(),
-                    cache_entries: inner.cache.len(),
-                    cache_evictions: inner.cache.evictions(),
-                    cache_maps: inner.cache.map_stats(),
-                    models: inner.registry.len(),
-                    queue_depth,
-                    workers: inner.config.workers,
-                    slow_captured: inner.events.recorded(),
-                    worker_panics: inner.robust.worker_panics(),
-                    worker_respawns: inner.robust.worker_respawns(),
-                    deadline_expired: inner.robust.deadline_expired(),
-                    quarantines: inner.robust.quarantines(),
-                    quarantined_models: inner.health.quarantined_count(),
-                    faults_injected: inner.config.faults.injected(),
-                    shards: inner.shard_snapshots(),
-                    outcomes_matched: inner.outcomes.matched(),
-                    outcomes_orphaned: inner.outcomes.orphaned(),
-                    outcomes_expired: inner.outcomes.expired(),
-                    outcomes_pending: inner.pending.len(),
-                    drift_alarms: inner.outcomes.drift_alarms(),
-                    drifting_models: inner.health.drifting_count(),
-                    cancelled: inner.robust.cancelled(),
-                    cancel_late: inner.robust.cancel_late(),
-                    hedge_deduped: inner.robust.hedge_deduped(),
-                    brownout_shed: brownout_shed_by_class(inner),
-                }))),
-            )
+            (None, Ok(Reply::Stats(Box::new(StatsReport::read(inner)))))
         }
         Request::Stats { model: Some(name) } => (None, model_stats(inner, name)),
         Request::Models => (None, Ok(Reply::Models(inner.registry.list()))),
@@ -1719,7 +1611,7 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
                 .max()
                 .unwrap_or(0);
             let pressure = BrownoutPressure {
-                shed: brownout_shed_by_class(inner),
+                shed: inner.robust.brownout_shed.each_ref().map(Counter::get),
                 max_depth,
                 queue_capacity: inner.config.queue_capacity,
             };
@@ -1734,12 +1626,12 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
         Request::Trace => (None, Ok(Reply::Traces(inner.events.dump()))),
         Request::Observe { id, actual_us } => {
             let (entry, expired) = inner.pending.take(*id);
-            inner.outcomes.on_expired(expired);
+            inner.outcomes.expired.add(expired);
             let Some(pending) = entry else {
-                inner.outcomes.on_orphaned();
+                inner.outcomes.orphaned.inc();
                 return (None, Ok(Reply::Observed { matched: false }));
             };
-            inner.outcomes.on_matched();
+            inner.outcomes.matched.inc();
             let tracker = inner.trackers.for_model(&pending.model);
             let fired = tracker.observe(pending.predicted_us, (*actual_us).max(1));
             // `fired` is an edge (the detector latches until an admin
@@ -1747,7 +1639,7 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
             // advisory health flag, and the event capture fire once per
             // episode. Advisory only: drift never sheds traffic.
             if fired && inner.health.mark_drifting(&pending.model) {
-                inner.outcomes.on_drift_alarm();
+                inner.outcomes.drift_alarms.inc();
                 let window = tracker.window();
                 inner.events.record(
                     format!(
@@ -1768,15 +1660,6 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
         Request::Save { model, dest } => (None, do_save(inner, model.as_deref(), dest.as_deref())),
         Request::Reload { model, path } => (None, do_reload(inner, model, path.as_deref())),
     }
-}
-
-/// The per-class brownout shed totals in [`Priority::ALL`] order.
-fn brownout_shed_by_class(inner: &Inner) -> [u64; 3] {
-    let mut shed = [0u64; 3];
-    for (slot, priority) in shed.iter_mut().zip(Priority::ALL) {
-        *slot = inner.robust.brownout_shed(priority);
-    }
-    shed
 }
 
 /// `stats model=<name>`: the model's counters. The name must be
@@ -1956,7 +1839,7 @@ fn do_reload(inner: &Inner, name: &str, path: Option<&str>) -> Outcome {
 mod tests {
     use super::*;
     use crate::bootstrap::{NBAG_MODEL, PAIR_MODEL};
-    use crate::testutil;
+    use crate::testutil::{self, pair_apps, pin_worker, pinnable_service};
     use bagpred_workloads::Benchmark;
 
     fn service() -> Arc<PredictionService> {
@@ -1965,13 +1848,6 @@ mod tests {
             Platforms::paper(),
             ServiceConfig::default(),
         )
-    }
-
-    fn pair_apps() -> Vec<Workload> {
-        vec![
-            Workload::new(Benchmark::Sift, 20),
-            Workload::new(Benchmark::Knn, 40),
-        ]
     }
 
     #[test]
@@ -2088,10 +1964,16 @@ mod tests {
         assert_eq!(stats.metrics.received, 4);
         // The stats request itself is still in flight when it snapshots.
         assert_eq!(stats.metrics.succeeded, 3);
-        assert!(stats.cache_hits >= 6, "repeat predicts hit the cache");
-        assert!(stats.cache_hit_rate > 0.5);
-        assert_eq!(stats.models, 2);
-        assert_eq!(stats.workers, ServiceConfig::default().workers);
+        assert!(
+            stats.count("cache_hits") >= 6,
+            "repeat predicts hit the cache"
+        );
+        assert!(stats.value("cache_hit_rate").expect("hit rate") > 0.5);
+        assert_eq!(stats.count("models"), 2);
+        assert_eq!(
+            stats.count("workers"),
+            ServiceConfig::default().workers as u64
+        );
         service.shutdown();
     }
 
@@ -2647,10 +2529,10 @@ mod tests {
         let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
             panic!("stats failed")
         };
-        assert_eq!(stats.worker_panics, 1);
-        assert_eq!(stats.quarantines, 1);
-        assert_eq!(stats.quarantined_models, 1);
-        assert_eq!(stats.faults_injected, 1);
+        assert_eq!(stats.count("worker_panics"), 1);
+        assert_eq!(stats.count("quarantines"), 1);
+        assert_eq!(stats.count("quarantined_models"), 1);
+        assert_eq!(stats.count("faults_injected"), 1);
 
         // Admin reload clears the quarantine; predictions are restored
         // and bit-identical to the snapshot's decode.
@@ -2699,13 +2581,13 @@ mod tests {
             let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
                 panic!("stats failed")
             };
-            if stats.worker_respawns >= 2 || Instant::now() >= deadline {
+            if stats.count("worker_respawns") >= 2 || Instant::now() >= deadline {
                 break stats;
             }
             thread::sleep(Duration::from_millis(5));
         };
-        assert_eq!(stats.worker_respawns, 2);
-        assert_eq!(stats.faults_injected, 2);
+        assert_eq!(stats.count("worker_respawns"), 2);
+        assert_eq!(stats.count("faults_injected"), 2);
         service.shutdown();
     }
 
@@ -2741,7 +2623,7 @@ mod tests {
         let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
             panic!("stats failed")
         };
-        assert_eq!(stats.deadline_expired, 1);
+        assert_eq!(stats.count("deadline_expired"), 1);
         service.shutdown();
     }
 
@@ -2805,7 +2687,7 @@ mod tests {
 
         assert_eq!(service.outcomes().matched(), 1);
         assert_eq!(service.outcomes().orphaned(), 3);
-        assert_eq!(service.outcomes().expired(), 0);
+        assert_eq!(service.outcomes().expired.get(), 0);
         let tracker = service
             .outcome_trackers()
             .get(PAIR_MODEL)
@@ -2816,10 +2698,10 @@ mod tests {
         let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
             panic!("stats failed")
         };
-        assert_eq!(stats.outcomes_matched, 1);
-        assert_eq!(stats.outcomes_orphaned, 3);
-        assert_eq!(stats.outcomes_pending, 0);
-        assert_eq!(stats.drifting_models, 0);
+        assert_eq!(stats.count("outcomes_matched"), 1);
+        assert_eq!(stats.count("outcomes_orphaned"), 3);
+        assert_eq!(stats.count("outcomes_pending"), 0);
+        assert_eq!(stats.count("drifting_models"), 0);
         service.shutdown();
     }
 
@@ -2837,7 +2719,7 @@ mod tests {
         let _us2 = tagged_predict_us(&service, 2);
         let _us3 = tagged_predict_us(&service, 3);
         // Capacity 2: recording id 3 evicted the oldest entry (id 1).
-        assert_eq!(service.outcomes().expired(), 1);
+        assert_eq!(service.outcomes().expired.get(), 1);
         assert!(!observe(&service, 1, us1), "evicted id is orphaned");
         assert!(observe(&service, 2, us1));
         assert!(observe(&service, 3, us1));
@@ -2855,7 +2737,7 @@ mod tests {
         let us = tagged_predict_us(&service, 4);
         std::thread::sleep(Duration::from_millis(2));
         assert!(!observe(&service, 4, us), "expired id is orphaned");
-        assert_eq!(service.outcomes().expired(), 1);
+        assert_eq!(service.outcomes().expired.get(), 1);
         assert_eq!(service.outcomes().orphaned(), 1);
         service.shutdown();
 
@@ -2870,7 +2752,7 @@ mod tests {
             },
         );
         let us = tagged_predict_us(&service, 5);
-        assert_eq!(service.outcomes().expired(), 1);
+        assert_eq!(service.outcomes().expired.get(), 1);
         assert!(!observe(&service, 5, us));
         service.shutdown();
     }
@@ -2894,13 +2776,13 @@ mod tests {
         // on its first sample, and this pins the baseline at zero.
         let us = tagged_predict_us(&service, 1);
         assert!(observe(&service, 1, us));
-        assert_eq!(service.outcomes().drift_alarms(), 0);
+        assert_eq!(service.outcomes().drift_alarms.get(), 0);
 
         // Second outcome is off by 2x (APE 100%): the test statistic
         // jumps to 50, over lambda=1 — the alarm fires deterministically.
         let us = tagged_predict_us(&service, 2);
         assert!(observe(&service, 2, (us / 2).max(1)));
-        assert_eq!(service.outcomes().drift_alarms(), 1);
+        assert_eq!(service.outcomes().drift_alarms.get(), 1);
 
         // The flag is advisory and sticky: health reports it, the
         // exposition flips, but the model keeps serving.
@@ -2938,7 +2820,7 @@ mod tests {
         // Latched means latched: further bad outcomes do not re-alarm.
         let us = tagged_predict_us(&service, 3);
         assert!(observe(&service, 3, (us / 2).max(1)));
-        assert_eq!(service.outcomes().drift_alarms(), 1);
+        assert_eq!(service.outcomes().drift_alarms.get(), 1);
 
         // Reload clears the advisory flag and re-arms the detector.
         service
@@ -2967,7 +2849,7 @@ mod tests {
         assert!(observe(&service, 4, us));
         let us = tagged_predict_us(&service, 5);
         assert!(observe(&service, 5, (us / 2).max(1)));
-        assert_eq!(service.outcomes().drift_alarms(), 2);
+        assert_eq!(service.outcomes().drift_alarms.get(), 2);
         service.shutdown();
     }
 
@@ -3014,47 +2896,6 @@ mod tests {
         service.shutdown();
     }
 
-    /// A service whose pair-tree worker can be pinned: one worker per
-    /// shard, batch size one, and a single armed `slow_predict` fault
-    /// that holds the worker inside predict for `ms` milliseconds.
-    fn pinnable_service(ms: u64, queue_capacity: usize) -> Arc<PredictionService> {
-        PredictionService::start(
-            testutil::registry(),
-            Platforms::paper(),
-            ServiceConfig {
-                workers: 1,
-                batch_size: 1,
-                queue_capacity,
-                faults: Arc::new(
-                    FaultPlan::parse(&format!("slow_predict:model=pair-tree:count=1:ms={ms}"))
-                        .expect("parses"),
-                ),
-                ..ServiceConfig::default()
-            },
-        )
-    }
-
-    /// Submits the blocker predict that trips the pin fault and waits
-    /// until the worker has picked it up (the shard queue drains).
-    fn pin_worker(service: &PredictionService) -> mpsc::Receiver<Outcome> {
-        let rx = service
-            .submit(
-                Request::Predict {
-                    model: Some(PAIR_MODEL.into()),
-                    apps: pair_apps(),
-                },
-                Trace::new(),
-                RequestOptions::default(),
-            )
-            .expect("blocker enqueues");
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while service.inner.queue_depth() > 0 {
-            assert!(Instant::now() < deadline, "worker never picked up blocker");
-            thread::sleep(Duration::from_millis(1));
-        }
-        rx
-    }
-
     #[test]
     fn cancelled_jobs_are_dropped_at_dequeue_with_a_typed_error() {
         let service = pinnable_service(400, 64);
@@ -3079,8 +2920,8 @@ mod tests {
         assert_eq!(got, 7);
         assert!(matches!(outcome, Err(ServeError::Cancelled)), "{outcome:?}");
         blocker.recv().expect("blocker finishes").expect("predicts");
-        assert_eq!(service.inner.robust.cancelled(), 1);
-        assert_eq!(service.inner.robust.cancel_late(), 0);
+        assert_eq!(service.inner.robust.cancelled.get(), 1);
+        assert_eq!(service.inner.robust.cancel_late.get(), 0);
         // The dropped job never registered a pending prediction.
         assert_eq!(service.inner.pending.len(), 0);
         // Conservation: every received request was answered.
@@ -3103,8 +2944,8 @@ mod tests {
         assert!(!pending);
         // An id the server never saw is late too.
         assert!(!service.cancel(424242));
-        assert_eq!(service.inner.robust.cancelled(), 0);
-        assert_eq!(service.inner.robust.cancel_late(), 3);
+        assert_eq!(service.inner.robust.cancelled.get(), 0);
+        assert_eq!(service.inner.robust.cancel_late.get(), 3);
         // The prediction's outcome join is untouched by the late cancel.
         assert!(observe(&service, 9, predicted_us));
         service.shutdown();
@@ -3151,7 +2992,7 @@ mod tests {
         assert_eq!(snap.received, 2);
         assert_eq!(snap.succeeded, 1);
         assert_eq!(snap.latency.samples, 1);
-        assert_eq!(service.inner.robust.hedge_deduped(), 1);
+        assert_eq!(service.inner.robust.hedge_deduped.get(), 1);
         // Only the winner joined the outcome ring; the loser's report
         // is orphaned, never double-feeding the residual window.
         assert_eq!(service.inner.pending.len(), 1);
@@ -3210,8 +3051,8 @@ mod tests {
         assert_eq!(snap.received, 2);
         assert_eq!(snap.succeeded, 2);
         assert_eq!(snap.failed, 0);
-        assert_eq!(service.inner.robust.hedge_deduped(), 0);
-        assert_eq!(service.inner.robust.cancelled(), 1);
+        assert_eq!(service.inner.robust.hedge_deduped.get(), 0);
+        assert_eq!(service.inner.robust.cancelled.get(), 1);
         // Only the hedge (tagged and served) is awaiting its outcome.
         assert_eq!(service.inner.pending.len(), 1);
         service.shutdown();
@@ -3259,9 +3100,13 @@ mod tests {
         let err = submit(7, Priority::High).expect_err("full queue sheds high");
         assert!(matches!(err, ServeError::Overloaded), "{err:?}");
 
-        assert_eq!(service.inner.robust.brownout_shed(Priority::Low), 1);
-        assert_eq!(service.inner.robust.brownout_shed(Priority::Normal), 1);
-        assert_eq!(service.inner.robust.brownout_shed(Priority::High), 0);
+        let shed = service
+            .inner
+            .robust
+            .brownout_shed
+            .each_ref()
+            .map(Counter::get);
+        assert_eq!(shed, [0, 1, 1], "high, normal, low");
         blocker.recv().expect("blocker finishes").expect("predicts");
         for _ in 0..accepted {
             let (_, outcome) = rx.recv().expect("accepted job answers");
@@ -3329,10 +3174,10 @@ mod tests {
                 }
                 let snap = service.metrics().snapshot();
                 prop_assert_eq!(snap.received, snap.succeeded + snap.failed);
-                prop_assert_eq!(service.inner.robust.cancel_late(), late_cancels);
+                prop_assert_eq!(service.inner.robust.cancel_late.get(), late_cancels);
                 // A pending cancel may still lose to a worker that had
                 // already picked the job up; it never over-counts.
-                prop_assert!(service.inner.robust.cancelled() <= pending_cancels);
+                prop_assert!(service.inner.robust.cancelled.get() <= pending_cancels);
                 service.shutdown();
             }
         }

@@ -84,13 +84,14 @@ pub mod snapshot;
 pub use admission::{AdmissionPolicy, GpuAssignment, Placement};
 pub use cache::{CacheMapStats, FeatureCache};
 pub use client::{Client, ClientConfig, ClientError};
-pub use engine::{PredictionService, Reply, Request, ServiceConfig, StatsReport};
+pub use engine::{PredictionService, Reply, Request, ServiceConfig};
 pub use error::ServeError;
 pub use fault::{FaultPlan, FaultSite, HealthReport, ModelHealth};
 pub use metrics::{
-    BrownoutPressure, LatencySummary, Metrics, MetricsSnapshot, ModelMetrics, ModelOutcome,
-    OutcomeCounters, OutcomeTrackers, Priority,
+    BrownoutPressure, Counter, LatencySummary, Metrics, MetricsSnapshot, ModelMetrics,
+    ModelOutcome, OutcomeCounters, OutcomeTrackers, Priority,
 };
+pub use observe::StatsReport;
 pub use server::{MetricsServer, Server, ServerConfig};
 pub use snapshot::{DirLoad, ModelRegistry, ServableModel};
 
@@ -99,9 +100,17 @@ pub(crate) mod testutil {
     //! Shared fixtures: training is the slow part of every serve test,
     //! so the registry is trained once per test binary.
 
+    use crate::bootstrap::PAIR_MODEL;
+    use crate::engine::{Outcome, PredictionService, Request, ServiceConfig};
+    use crate::observe::StatsReport;
+    use crate::protocol::RequestOptions;
     use crate::snapshot::ModelRegistry;
+    use crate::FaultPlan;
     use bagpred_core::Platforms;
-    use std::sync::{Arc, OnceLock};
+    use bagpred_obs::Trace;
+    use bagpred_workloads::{Benchmark, Workload};
+    use std::sync::{mpsc, Arc, OnceLock};
+    use std::time::{Duration, Instant};
 
     pub fn registry() -> Arc<ModelRegistry> {
         static REGISTRY: OnceLock<Arc<ModelRegistry>> = OnceLock::new();
@@ -121,6 +130,55 @@ pub(crate) mod testutil {
                 .expect("snapshot decodes");
         }
         Arc::new(fresh)
+    }
+
+    /// The SIFT@20 + KNN@40 pair the engine tests predict.
+    pub fn pair_apps() -> Vec<Workload> {
+        vec![
+            Workload::new(Benchmark::Sift, 20),
+            Workload::new(Benchmark::Knn, 40),
+        ]
+    }
+
+    /// A service whose pair-tree worker can be pinned: one worker per
+    /// shard, batch size one, and a single armed `slow_predict` fault
+    /// that holds the worker inside predict for `ms` milliseconds.
+    pub fn pinnable_service(ms: u64, queue_capacity: usize) -> Arc<PredictionService> {
+        PredictionService::start(
+            registry(),
+            Platforms::paper(),
+            ServiceConfig {
+                workers: 1,
+                batch_size: 1,
+                queue_capacity,
+                faults: Arc::new(
+                    FaultPlan::parse(&format!("slow_predict:model=pair-tree:count=1:ms={ms}"))
+                        .expect("parses"),
+                ),
+                ..ServiceConfig::default()
+            },
+        )
+    }
+
+    /// Submits the blocker predict that trips the pin fault and waits
+    /// until the worker has picked it up (the shard queue drains).
+    pub fn pin_worker(service: &PredictionService) -> mpsc::Receiver<Outcome> {
+        let rx = service
+            .submit(
+                Request::Predict {
+                    model: Some(PAIR_MODEL.into()),
+                    apps: pair_apps(),
+                },
+                Trace::new(),
+                RequestOptions::default(),
+            )
+            .expect("blocker enqueues");
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while StatsReport::read(service.inner()).count("queue_depth") > 0 {
+            assert!(Instant::now() < deadline, "worker never picked up blocker");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        rx
     }
 
     /// Joins a thread handle, propagating any panic with the thread's

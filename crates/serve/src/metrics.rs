@@ -91,10 +91,13 @@ impl Priority {
 /// Lock-free counters plus per-phase latency histograms.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    received: AtomicU64,
-    succeeded: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
+    /// Requests entering the queue.
+    pub received: Counter,
+    succeeded: Counter,
+    failed: Counter,
+    /// Requests shed at enqueue: their shard's queue was full, or a
+    /// brownout watermark refused their priority class.
+    pub shed: Counter,
     latency: LogHistogram,
     queue_wait: LogHistogram,
     service: LogHistogram,
@@ -106,22 +109,12 @@ impl Metrics {
         Self::default()
     }
 
-    /// Counts a request entering the queue.
-    pub fn on_received(&self) {
-        self.received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request rejected by load shedding (queue full).
-    pub fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts a completed request and records its end-to-end latency.
     pub fn on_done(&self, ok: bool, latency: Duration) {
         if ok {
-            self.succeeded.fetch_add(1, Ordering::Relaxed);
+            self.succeeded.inc();
         } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+            self.failed.inc();
         }
         self.latency.record_duration(latency);
     }
@@ -151,10 +144,10 @@ impl Metrics {
     /// A point-in-time summary.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            received: self.received.load(Ordering::Relaxed),
-            succeeded: self.succeeded.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            received: self.received.get(),
+            succeeded: self.succeeded.get(),
+            failed: self.failed.get(),
+            shed: self.shed.get(),
             latency: LatencySummary::of(&self.latency.snapshot()),
             queue_wait: LatencySummary::of(&self.queue_wait.snapshot()),
             service: LatencySummary::of(&self.service.snapshot()),
@@ -232,9 +225,12 @@ impl ModelMetrics {
 /// the queue the job actually waited in.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
-    enqueued: AtomicU64,
-    served: AtomicU64,
-    shed: AtomicU64,
+    /// Jobs accepted into this shard's queue.
+    pub enqueued: Counter,
+    served: Counter,
+    /// Jobs this shard refused at enqueue (queue full or a brownout
+    /// watermark) or dropped at dequeue (deadline passed or cancelled).
+    pub shed: Counter,
     queue_wait: LogHistogram,
 }
 
@@ -244,27 +240,11 @@ impl ShardCounters {
         Self::default()
     }
 
-    /// Counts a job accepted into this shard's queue.
-    pub fn on_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts a job drained and answered by this shard's workers, and
     /// records how long it sat in *this* shard's queue.
     pub fn on_served(&self, queue_wait: Duration) {
-        self.served.fetch_add(1, Ordering::Relaxed);
+        self.served.inc();
         self.queue_wait.record_duration(queue_wait);
-    }
-
-    /// Counts a job this shard refused (queue full) or dropped at
-    /// dequeue (deadline already passed).
-    pub fn on_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Jobs accepted so far.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
     }
 
     /// A point-in-time summary; `name` and `queue_depth` come from the
@@ -273,9 +253,9 @@ impl ShardCounters {
         ShardSnapshot {
             name: name.to_string(),
             queue_depth,
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            enqueued: self.enqueued.get(),
+            served: self.served.get(),
+            shed: self.shed.get(),
             queue_wait: LatencySummary::of(&self.queue_wait.snapshot()),
         }
     }
@@ -294,7 +274,8 @@ pub struct ShardSnapshot {
     pub enqueued: u64,
     /// Jobs drained and answered since start.
     pub served: u64,
-    /// Jobs refused (queue full) or expired at dequeue since start.
+    /// Jobs refused at enqueue (queue full or brownout) or dropped at
+    /// dequeue (deadline passed or cancelled) since start.
     pub shed: u64,
     /// Time jobs sat in this shard's queue before pickup.
     pub queue_wait: LatencySummary,
@@ -352,177 +333,85 @@ impl LatencySummary {
     }
 }
 
-/// Lock-free counters for the fault-tolerance machinery: caught worker
-/// panics, worker respawns, deadline sheds, and quarantine entries.
-/// Lives on the engine next to [`Metrics`]; surfaced by `stats` and the
-/// Prometheus exposition.
+/// A monotonic event count: one relaxed atomic add per event, read
+/// without ordering (a snapshot is a point-in-time approximation).
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// A zero count (usable in statics).
+    pub const fn new() -> Self {
+        Self(AtomicU64::new(0))
+    }
+
+    /// Counts one event.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Counts `n` events.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Events counted so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Lock-free counters for the fault-tolerance machinery. Lives on the
+/// engine next to [`Metrics`]; each field is one row of the signal
+/// table that renders `stats` and the Prometheus exposition.
 #[derive(Debug, Default)]
 pub struct RobustnessCounters {
-    worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    deadline_expired: AtomicU64,
-    quarantines: AtomicU64,
-    cancelled: AtomicU64,
-    cancel_late: AtomicU64,
-    hedge_deduped: AtomicU64,
-    brownout_shed: [AtomicU64; 3],
-}
-
-impl RobustnessCounters {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts a predict panic caught by batch isolation.
-    pub fn on_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a worker loop respawned after a panic escaped the batch.
-    pub fn on_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request shed at dequeue because its deadline passed.
-    pub fn on_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a model entering quarantine.
-    pub fn on_quarantine(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a job dropped at dequeue because its id was cancelled
-    /// while it waited in the queue.
-    pub fn on_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a cancel that arrived after its target had already been
-    /// served (or was never in flight) — answered `ok cancel=late`.
-    pub fn on_cancel_late(&self) {
-        self.cancel_late.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a hedge attempt whose pair was already served: its stats
-    /// and pending-outcome registration were suppressed so the logical
+    /// Predict panics caught by batch isolation.
+    pub worker_panics: Counter,
+    /// Worker loops respawned after a panic escaped the batch.
+    pub worker_respawns: Counter,
+    /// Requests shed at dequeue because their deadline passed.
+    pub deadline_expired: Counter,
+    /// Models entering quarantine.
+    pub quarantines: Counter,
+    /// Jobs dropped at dequeue because their id was cancelled while
+    /// they waited in the queue.
+    pub cancelled: Counter,
+    /// Cancels that arrived after their target had already been served
+    /// (or was never in flight) — answered `ok cancel=late`.
+    pub cancel_late: Counter,
+    /// Hedge attempts whose pair was already served: their stats and
+    /// pending-outcome registration were suppressed so the logical
     /// request counts exactly once.
-    pub fn on_hedge_deduped(&self) {
-        self.hedge_deduped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request shed at enqueue by a brownout watermark (queue
-    /// under pressure but not full) for its priority class.
-    pub fn on_brownout_shed(&self, prio: Priority) {
-        self.brownout_shed[prio.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Predict panics caught so far.
-    pub fn worker_panics(&self) -> u64 {
-        self.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// Worker loops respawned so far.
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed on an expired deadline so far.
-    pub fn deadline_expired(&self) -> u64 {
-        self.deadline_expired.load(Ordering::Relaxed)
-    }
-
-    /// Quarantine entries so far.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines.load(Ordering::Relaxed)
-    }
-
-    /// Jobs dropped at dequeue on a cancelled id so far.
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Cancels that arrived too late to matter so far.
-    pub fn cancel_late(&self) -> u64 {
-        self.cancel_late.load(Ordering::Relaxed)
-    }
-
-    /// Hedge attempts deduplicated after their pair was served so far.
-    pub fn hedge_deduped(&self) -> u64 {
-        self.hedge_deduped.load(Ordering::Relaxed)
-    }
-
-    /// Brownout sheds so far for one priority class.
-    pub fn brownout_shed(&self, prio: Priority) -> u64 {
-        self.brownout_shed[prio.index()].load(Ordering::Relaxed)
-    }
-
-    /// Brownout sheds so far across every priority class.
-    pub fn brownout_shed_total(&self) -> u64 {
-        Priority::ALL.iter().map(|&p| self.brownout_shed(p)).sum()
-    }
+    pub hedge_deduped: Counter,
+    /// Requests shed at enqueue by a brownout watermark (queue under
+    /// pressure but not full), indexed by [`Priority::index`].
+    pub brownout_shed: [Counter; 3],
 }
 
-/// Lock-free counters for the outcome-feedback loop: how many reported
-/// outcomes joined a recorded prediction, how many referenced an id the
-/// engine never recorded (or already consumed), and how many recorded
-/// predictions aged out of the pending ring before their outcome
-/// arrived. Surfaced by `stats` and the Prometheus exposition.
+/// Lock-free counters for the outcome-feedback loop. Surfaced by
+/// `stats` and the Prometheus exposition.
 #[derive(Debug, Default)]
 pub struct OutcomeCounters {
-    matched: AtomicU64,
-    orphaned: AtomicU64,
-    expired: AtomicU64,
-    drift_alarms: AtomicU64,
+    /// Outcomes joined to their recorded prediction.
+    pub matched: Counter,
+    /// Outcomes whose id had no pending prediction (unknown, duplicate,
+    /// or already evicted).
+    pub orphaned: Counter,
+    /// Pending predictions evicted unmatched (TTL or capacity).
+    pub expired: Counter,
+    /// Drift alarm edges (a model newly flagged as drifting).
+    pub drift_alarms: Counter,
 }
 
 impl OutcomeCounters {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts an outcome joined to its recorded prediction.
-    pub fn on_matched(&self) {
-        self.matched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an outcome whose id had no pending prediction (unknown,
-    /// duplicate, or already evicted).
-    pub fn on_orphaned(&self) {
-        self.orphaned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts pending predictions evicted unmatched (TTL or capacity).
-    pub fn on_expired(&self, n: u64) {
-        self.expired.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts a drift alarm edge (a model newly flagged as drifting).
-    pub fn on_drift_alarm(&self) {
-        self.drift_alarms.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Outcomes joined so far.
     pub fn matched(&self) -> u64 {
-        self.matched.load(Ordering::Relaxed)
+        self.matched.get()
     }
 
     /// Outcomes that found no pending prediction so far.
     pub fn orphaned(&self) -> u64 {
-        self.orphaned.load(Ordering::Relaxed)
-    }
-
-    /// Pending predictions evicted unmatched so far.
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
-    /// Drift alarm edges so far.
-    pub fn drift_alarms(&self) -> u64 {
-        self.drift_alarms.load(Ordering::Relaxed)
+        self.orphaned.get()
     }
 }
 
@@ -652,42 +541,21 @@ impl OutcomeTrackers {
 }
 
 /// Process-wide counters for failures at *boot* time, before any engine
-/// (and its [`RobustnessCounters`]) exists: an unusable snapshot
-/// directory, or corrupt snapshot files quarantined by a directory
-/// load. Rendered into the exposition of every service in the process.
+/// (and its [`RobustnessCounters`]) exists. Rendered into the `stats`
+/// and exposition of every service in the process.
 #[derive(Debug)]
 pub struct BootStats {
-    snapshot_dir_errors: AtomicU64,
-    snapshots_quarantined: AtomicU64,
-}
-
-impl BootStats {
-    /// Counts a boot aborted because the snapshot dir was unusable.
-    pub fn on_snapshot_dir_error(&self) {
-        self.snapshot_dir_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a corrupt snapshot file moved aside as `<name>.corrupt`.
-    pub fn on_snapshot_quarantined(&self) {
-        self.snapshots_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Unusable-snapshot-dir boots so far in this process.
-    pub fn snapshot_dir_errors(&self) -> u64 {
-        self.snapshot_dir_errors.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot files quarantined so far in this process.
-    pub fn snapshots_quarantined(&self) -> u64 {
-        self.snapshots_quarantined.load(Ordering::Relaxed)
-    }
+    /// Boots aborted because the snapshot directory was unusable.
+    pub snapshot_dir_errors: Counter,
+    /// Corrupt snapshot files moved aside as `<name>.corrupt`.
+    pub snapshots_quarantined: Counter,
 }
 
 /// The process-wide [`BootStats`] instance.
 pub fn boot_stats() -> &'static BootStats {
     static STATS: BootStats = BootStats {
-        snapshot_dir_errors: AtomicU64::new(0),
-        snapshots_quarantined: AtomicU64::new(0),
+        snapshot_dir_errors: Counter::new(),
+        snapshots_quarantined: Counter::new(),
     };
     &STATS
 }
@@ -701,7 +569,7 @@ pub struct MetricsSnapshot {
     pub succeeded: u64,
     /// Requests that completed with an `err` reply.
     pub failed: u64,
-    /// Requests rejected because the queue was full.
+    /// Requests shed at enqueue: queue full or brownout watermark.
     pub shed: u64,
     /// End-to-end request latency.
     pub latency: LatencySummary,
@@ -729,7 +597,7 @@ mod tests {
     fn latency_stats_use_nearest_rank_quantiles_at_bucket_resolution() {
         let metrics = Metrics::new();
         for us in 1..=100u64 {
-            metrics.on_received();
+            metrics.received.inc();
             metrics.on_done(true, Duration::from_micros(us));
         }
         let snap = metrics.snapshot();
@@ -750,9 +618,9 @@ mod tests {
     #[test]
     fn failure_and_shed_counters_are_separate() {
         let metrics = Metrics::new();
-        metrics.on_received();
+        metrics.received.inc();
         metrics.on_done(false, Duration::from_micros(7));
-        metrics.on_shed();
+        metrics.shed.inc();
         let snap = metrics.snapshot();
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.shed, 1);
@@ -762,7 +630,7 @@ mod tests {
     #[test]
     fn queue_wait_and_service_time_are_tracked_separately() {
         let metrics = Metrics::new();
-        metrics.on_received();
+        metrics.received.inc();
         metrics.on_done(true, Duration::from_micros(1000));
         metrics.on_phases(Duration::from_micros(800), Duration::from_micros(200));
         let snap = metrics.snapshot();
@@ -790,8 +658,8 @@ mod tests {
     #[test]
     fn model_metrics_entries_are_independent_and_sorted() {
         let models = ModelMetrics::new();
-        models.for_model("b").on_received();
-        models.for_model("a").on_received();
+        models.for_model("b").received.inc();
+        models.for_model("a").received.inc();
         models
             .for_model("a")
             .on_done(true, Duration::from_micros(5));
@@ -818,20 +686,18 @@ mod tests {
 
     #[test]
     fn brownout_and_cancel_counters_track_per_class() {
-        let robust = RobustnessCounters::new();
-        robust.on_brownout_shed(Priority::Low);
-        robust.on_brownout_shed(Priority::Low);
-        robust.on_brownout_shed(Priority::Normal);
-        robust.on_cancelled();
-        robust.on_cancel_late();
-        robust.on_hedge_deduped();
-        assert_eq!(robust.brownout_shed(Priority::Low), 2);
-        assert_eq!(robust.brownout_shed(Priority::Normal), 1);
-        assert_eq!(robust.brownout_shed(Priority::High), 0);
-        assert_eq!(robust.brownout_shed_total(), 3);
-        assert_eq!(robust.cancelled(), 1);
-        assert_eq!(robust.cancel_late(), 1);
-        assert_eq!(robust.hedge_deduped(), 1);
+        let robust = RobustnessCounters::default();
+        robust.brownout_shed[Priority::Low.index()].inc();
+        robust.brownout_shed[Priority::Low.index()].inc();
+        robust.brownout_shed[Priority::Normal.index()].inc();
+        robust.cancelled.inc();
+        robust.cancel_late.add(2);
+        robust.hedge_deduped.inc();
+        let shed = robust.brownout_shed.each_ref().map(Counter::get);
+        assert_eq!(shed, [0, 1, 2], "high, normal, low");
+        assert_eq!(robust.cancelled.get(), 1);
+        assert_eq!(robust.cancel_late.get(), 2);
+        assert_eq!(robust.hedge_deduped.get(), 1);
     }
 
     #[test]
@@ -851,7 +717,7 @@ mod tests {
                         .name(format!("racer-{round}-{racer}"))
                         .spawn(move || {
                             let entry = models.for_model(&name);
-                            entry.on_received();
+                            entry.received.inc();
                             entry
                         })
                         .expect("spawn racer thread")

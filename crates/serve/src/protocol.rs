@@ -102,9 +102,10 @@
 //! model produced — the integration tests assert byte-identity against
 //! the offline predictor.
 
-use crate::engine::{Reply, Request, StatsReport};
+use crate::engine::{Reply, Request};
 use crate::error::ServeError;
-use crate::metrics::Priority;
+use crate::metrics::{MetricsSnapshot, Priority};
+use crate::observe::{Read, Signal, StatsReport};
 use bagpred_core::nbag::MAX_BAG;
 use bagpred_ml::codec::fmt_f64;
 use bagpred_workloads::Workload;
@@ -364,81 +365,34 @@ fn format_summary(prefix: &str, s: &crate::metrics::LatencySummary) -> String {
     )
 }
 
+/// The three latency summaries `stats` and `stats model=` both print.
+fn format_summaries(m: &MetricsSnapshot) -> String {
+    format!(
+        "{} {} {}",
+        format_summary("latency", &m.latency),
+        format_summary("queue_wait", &m.queue_wait),
+        format_summary("service", &m.service),
+    )
+}
+
+/// The `stats` line: every signal-table field, then the three latency
+/// summaries, then the per-shard fields.
 fn format_stats(s: &StatsReport) -> String {
-    let m = &s.metrics;
-    let mut out = format!(
-        "requests={} ok={} err={} shed={} queue_depth={} workers={} models={} \
-         slow_captured={} \
-         cache_hits={} cache_misses={} cache_hit_rate={:.4} cache_entries={} \
-         cache_evictions={}",
-        m.received,
-        m.succeeded,
-        m.failed,
-        m.shed,
-        s.queue_depth,
-        s.workers,
-        s.models,
-        s.slow_captured,
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_hit_rate,
-        s.cache_entries,
-        s.cache_evictions,
-    );
-    out.push_str(&format!(
-        " worker_panics={} worker_respawns={} deadline_expired={} quarantines={} \
-         quarantined_models={} faults_injected={}",
-        s.worker_panics,
-        s.worker_respawns,
-        s.deadline_expired,
-        s.quarantines,
-        s.quarantined_models,
-        s.faults_injected,
-    ));
-    out.push_str(&format!(
-        " outcomes_matched={} outcomes_orphaned={} outcomes_expired={} outcomes_pending={} \
-         drift_alarms={} drifting_models={}",
-        s.outcomes_matched,
-        s.outcomes_orphaned,
-        s.outcomes_expired,
-        s.outcomes_pending,
-        s.drift_alarms,
-        s.drifting_models,
-    ));
-    out.push_str(&format!(
-        " cancelled={} cancel_late={} hedge_deduped={}",
-        s.cancelled, s.cancel_late, s.hedge_deduped,
-    ));
-    for (prio, shed) in Priority::ALL.iter().zip(s.brownout_shed) {
-        out.push_str(&format!(" brownout_shed_{}={shed}", prio.name()));
-    }
-    for map in &s.cache_maps {
-        out.push_str(&format!(
-            " cache_{0}_hits={1} cache_{0}_misses={2} cache_{0}_evictions={3} \
-             cache_{0}_entries={4}",
-            map.name, map.hits, map.misses, map.evictions, map.entries,
-        ));
-    }
-    out.push(' ');
-    out.push_str(&format_summary("latency", &m.latency));
-    out.push(' ');
-    out.push_str(&format_summary("queue_wait", &m.queue_wait));
-    out.push(' ');
-    out.push_str(&format_summary("service", &m.service));
-    out.push_str(&format!(" shards={}", s.shards.len()));
-    for shard in &s.shards {
-        out.push_str(&format!(
-            " shard_{0}_depth={1} shard_{0}_enqueued={2} shard_{0}_served={3} \
-             shard_{0}_shed={4} shard_{0}_wait_p99_us={5}",
-            shard.name,
-            shard.queue_depth,
-            shard.enqueued,
-            shard.served,
-            shard.shed,
-            shard.queue_wait.p99_us,
-        ));
-    }
-    out
+    let field = |(row, key, value): (&Signal, String, f64)| format!("{key}={}", row.format(value));
+    let (per_shard, global): (Vec<_>, Vec<_>) = s
+        .fields()
+        .partition(|(row, ..)| matches!(row.read, Read::Shard(_)));
+    let mut out: Vec<String> = global.into_iter().map(field).collect();
+    out.push(format_summaries(&s.metrics));
+    out.push(format!("shards={}", s.shards.len()));
+    out.extend(per_shard.into_iter().map(field));
+    out.extend(s.shards.iter().map(|shard| {
+        format!(
+            "shard_{}_wait_p99_us={}",
+            shard.name, shard.queue_wait.p99_us
+        )
+    }));
+    out.join(" ")
 }
 
 /// Formats the reply line (without the trailing newline).
@@ -485,13 +439,11 @@ pub fn format_outcome(outcome: &Result<Reply, ServeError>) -> String {
             shard,
         }) => {
             let mut out = format!(
-                "ok model={model} requests={} ok={} err={} {} {} {}",
+                "ok model={model} requests={} ok={} err={} {}",
                 m.received,
                 m.succeeded,
                 m.failed,
-                format_summary("latency", &m.latency),
-                format_summary("queue_wait", &m.queue_wait),
-                format_summary("service", &m.service),
+                format_summaries(m),
             );
             // The queue this model's jobs actually waited in — its own
             // shard — so `shard_wait` percentiles are attributable to

@@ -59,11 +59,11 @@ impl<J> Shard<J> {
         let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         if queue.len() >= self.capacity {
             drop(queue);
-            self.counters.on_shed();
+            self.counters.shed.inc();
             return Err(job);
         }
         queue.push_back(job);
-        self.counters.on_enqueued();
+        self.counters.enqueued.inc();
         on_enqueued();
         drop(queue);
         self.nonempty.notify_one();

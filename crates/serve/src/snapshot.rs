@@ -442,7 +442,7 @@ impl ModelRegistry {
                     // when the file contents are garbage; if it fails the
                     // file stays put and the next boot quarantines again.
                     let moved = std::fs::rename(&path, &corrupt).is_ok();
-                    crate::metrics::boot_stats().on_snapshot_quarantined();
+                    crate::metrics::boot_stats().snapshots_quarantined.inc();
                     report.quarantined.push(if moved { corrupt } else { path });
                 }
             }
@@ -653,7 +653,7 @@ mod tests {
         bytes[pos] = if bytes[pos] == b'7' { b'8' } else { b'7' };
         std::fs::write(&nbag_path, &bytes).expect("flips");
 
-        let before = crate::metrics::boot_stats().snapshots_quarantined();
+        let before = crate::metrics::boot_stats().snapshots_quarantined.get();
         let fresh = ModelRegistry::new();
         let report = fresh.load_dir_report(&dir).expect("scan survives");
         assert_eq!(report.loaded, 0, "nothing decodable");
@@ -667,7 +667,7 @@ mod tests {
         }
         assert!(!pair_path.exists() && !nbag_path.exists(), "originals gone");
         assert_eq!(
-            crate::metrics::boot_stats().snapshots_quarantined(),
+            crate::metrics::boot_stats().snapshots_quarantined.get(),
             before + 2
         );
 

@@ -128,7 +128,7 @@ fn main() {
              latency p50 {}us p95 {}us p99 {}us \
              (queue wait p95 {}us, service p95 {}us)",
             stats.metrics.received,
-            stats.cache_hit_rate * 100.0,
+            stats.value("cache_hit_rate").unwrap_or(0.0) * 100.0,
             stats.metrics.latency.p50_us,
             stats.metrics.latency.p95_us,
             stats.metrics.latency.p99_us,

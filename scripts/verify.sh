@@ -23,6 +23,9 @@ cargo build --release --workspace
 echo "== formatting: cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== scripts: bash -n =="
+bash -n scripts/bench_compare.sh
+
 echo "== lint: cargo clippy --all-targets -D warnings =="
 cargo clippy -q --all-targets -- -D warnings
 cargo clippy -q -p bagpred-obs --all-targets -- -D warnings
@@ -70,7 +73,10 @@ echo "== observability: histograms, traces, exposition (bounded at 180s) =="
 # silently filtered out: lock-free histograms must not lose samples
 # under concurrent writers, queue wait and service time must decompose
 # request latency per model, the exposition must parse line by line,
-# and the slow-request trace dump must stay admin-gated.
+# every signal-table row must render in both `stats` and the exposition
+# with the same value (and `health`'s brownout sheds with it), every
+# stats key and exposition family of the pre-table views must still be
+# there, and the slow-request trace dump must stay admin-gated.
 timeout 120 cargo test -q -p bagpred-obs --lib -- --exact \
   hist::tests::concurrent_writers_match_serial_reference \
   hist::tests::quantiles_are_nearest_rank_clamped_to_observed_range \
@@ -80,6 +86,8 @@ timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
   engine::tests::traces_split_queue_wait_from_service_time \
   engine::tests::slow_requests_are_captured_with_their_span_breakdown \
   engine::tests::exposition_covers_global_and_per_model_series_and_parses \
+  observe::tests::every_signal_renders_once_and_agrees_across_stats_health_and_exposition \
+  observe::tests::every_parent_stats_key_and_exposition_family_is_still_present \
   metrics::tests::first_traffic_racers_share_one_entry_and_lose_no_counts \
   server::tests::metrics_listener_answers_http_scrapes_with_the_exposition
 timeout 180 cargo test -q --test serving -- --exact \
@@ -343,6 +351,12 @@ timeout 300 cargo test -q -p bagpred-fleet --test determinism -- --exact \
   different_seed_different_bytes
 timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
   admission::prop_tests::place_invariants_hold
+
+# The kernel-profile memo is single flight: callers that miss on one
+# workload together share one kernel run. Racing runs doubled the cold
+# boot's profiling and let its peak memory vary with thread timing.
+timeout 120 cargo test -q -p bagpred-workloads --lib -- --exact \
+  workload::tests::concurrent_first_callers_share_one_computation
 
 echo "== loadbench: unit tests + end-to-end smoke (bounded at 600s) =="
 # The repository's benchmark is its own workspace (path deps on

@@ -621,6 +621,9 @@ fn stats_over_tcp_report_cache_and_latency_fields() {
         "cache_apps_hits=",
         "cache_nbags_misses=",
         "slow_captured=",
+        "trace_ring_dropped=",
+        "boot_snapshot_dir_errors=",
+        "boot_snapshots_quarantined=",
         "latency_us_p50=",
         "latency_us_p95=",
         "latency_us_p99=",
