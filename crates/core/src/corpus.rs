@@ -98,13 +98,16 @@ impl Corpus {
     /// collection out over [`crate::parallel::configured_threads`] scoped
     /// workers. Collection is a pure function of the bag, and results come
     /// back in corpus order, so the output is bit-identical to the serial
-    /// path (set `BAGPRED_THREADS=1` to force it).
+    /// path (set `BAGPRED_THREADS=1` to force it). The workers first
+    /// profile each named benchmark in one pass, largest pass first, then
+    /// measure the bags from the warm profile memo.
     pub fn measure_on(&self, platforms: &Platforms) -> Vec<Measurement> {
         self.measure_on_threads(platforms, crate::parallel::configured_threads())
     }
 
     /// [`measure_on`](Self::measure_on) with an explicit worker count.
     pub fn measure_on_threads(&self, platforms: &Platforms, threads: usize) -> Vec<Measurement> {
+        crate::parallel::warm_profiles(self.bags.iter().flat_map(Bag::members), threads);
         crate::parallel::parallel_map(&self.bags, threads, |&bag| {
             Measurement::collect(bag, platforms)
         })

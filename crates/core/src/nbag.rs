@@ -261,7 +261,9 @@ impl NBagMeasurement {
 
 /// Measures a set of n-bags in parallel on
 /// [`crate::parallel::configured_threads`] scoped workers, returning
-/// results in input order — bit-identical to the serial loop.
+/// results in input order — bit-identical to the serial loop. As in
+/// [`crate::Corpus::measure_on`], each named benchmark is profiled in one
+/// pass, largest first, before any bag is measured.
 pub fn measure_nbags(bags: &[NBag], platforms: &Platforms) -> Vec<NBagMeasurement> {
     measure_nbags_threads(bags, platforms, crate::parallel::configured_threads())
 }
@@ -272,6 +274,8 @@ pub fn measure_nbags_threads(
     platforms: &Platforms,
     threads: usize,
 ) -> Vec<NBagMeasurement> {
+    let members = bags.iter().flat_map(|bag| bag.members().iter().copied());
+    crate::parallel::warm_profiles(members, threads);
     crate::parallel::parallel_map(bags, threads, |bag| {
         NBagMeasurement::collect(bag.clone(), platforms)
     })

@@ -128,7 +128,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
     }
 }
 
-/// Point-in-time counters for one of the cache's three maps.
+/// Point-in-time counters for one of the cache's four maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheMapStats {
     /// Stable map name: `apps`, `fairness`, `nbags` or `profiles`.
@@ -181,7 +181,7 @@ impl FeatureCache {
         Self::with_capacity(0)
     }
 
-    /// An empty cache bounding **each** of the three maps at `capacity`
+    /// An empty cache bounding **each** of the four maps at `capacity`
     /// entries; `0` means unbounded.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
@@ -309,9 +309,9 @@ impl FeatureCache {
         }
     }
 
-    /// Number of cached entries across all three maps.
+    /// Number of cached entries across all four maps.
     pub fn len(&self) -> usize {
-        self.apps.len() + self.fairness.len() + self.nbags.len()
+        self.map_stats().iter().map(|m| m.entries).sum()
     }
 
     /// True when nothing is cached yet.
@@ -475,6 +475,8 @@ mod tests {
         assert_eq!((warm.hits, warm.misses), (2, 4));
         assert_eq!((apps.hits, apps.misses), (2, 4));
         assert_eq!(nbags.misses, 2, "each distinct bag assembled once");
+        // Four apps, two bags, four profiles: `len` counts every map.
+        assert_eq!(cache.len(), 4 + 2 + 4);
     }
 
     #[test]

@@ -244,14 +244,20 @@ impl ImageSynthesizer {
 
     /// Generates a batch of `n` images with decorrelated per-image seeds.
     pub fn synthesize_batch(&self, n: usize) -> Vec<GrayImage> {
+        self.images().take(n).collect()
+    }
+
+    /// The endless image sequence every batch is a prefix of: per-image
+    /// seeds are drawn in order, so image `i` never depends on the batch
+    /// size.
+    pub(crate) fn images(&self) -> impl Iterator<Item = GrayImage> {
+        let (width, height) = (self.width, self.height);
         let mut rng = SplitMix64::new(self.seed);
-        (0..n)
-            .map(|_| {
-                ImageSynthesizer::new(rng.next_u64())
-                    .with_size(self.width, self.height)
-                    .synthesize()
-            })
-            .collect()
+        std::iter::repeat_with(move || {
+            ImageSynthesizer::new(rng.next_u64())
+                .with_size(width, height)
+                .synthesize()
+        })
     }
 }
 
@@ -388,6 +394,22 @@ mod tests {
         assert_eq!(batch.len(), 4);
         assert_ne!(batch[0], batch[1]);
         assert_ne!(batch[2], batch[3]);
+    }
+
+    #[test]
+    fn batches_are_prefixes_of_larger_batches() {
+        // The one-pass profiler reads batch n as the first n images of
+        // batch 320.
+        for seed in [0, 7, 0x5eed_f00d] {
+            let synth = ImageSynthesizer::new(seed);
+            for (n, m) in [(1, 2), (7, 320), (20, 40), (40, 80), (80, 160), (160, 320)] {
+                assert_eq!(
+                    synth.synthesize_batch(n),
+                    synth.synthesize_batch(m)[..n],
+                    "seed {seed}: batch {n} vs batch {m}"
+                );
+            }
+        }
     }
 
     #[test]

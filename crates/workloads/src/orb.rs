@@ -158,20 +158,25 @@ pub(crate) fn detect(img: &GrayImage, prof: &mut Profiler) -> Vec<OrbKeypoint> {
 /// images (the matching step is what downstream pipelines use ORB for).
 pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> OrbOutput {
     let keypoints: Vec<Vec<OrbKeypoint>> = images.iter().map(|img| detect(img, prof)).collect();
-    // Match consecutive image pairs by Hamming distance (brute force).
     for pair in keypoints.windows(2) {
-        for a in &pair[0] {
-            let mut best = u32::MAX;
-            for b in &pair[1] {
-                let d = ops::hamming256(&a.descriptor, &b.descriptor, prof);
-                if d < best {
-                    best = d;
-                }
-            }
-            prof.count(InstrClass::Control, pair[1].len() as u64);
-        }
+        match_pair(&pair[0], &pair[1], prof);
     }
     OrbOutput { keypoints }
+}
+
+/// Matches each keypoint of one image to its nearest neighbour in the
+/// next image by Hamming distance (brute force).
+pub(crate) fn match_pair(a: &[OrbKeypoint], b: &[OrbKeypoint], prof: &mut Profiler) {
+    for ka in a {
+        let mut best = u32::MAX;
+        for kb in b {
+            let d = ops::hamming256(&ka.descriptor, &kb.descriptor, prof);
+            if d < best {
+                best = d;
+            }
+        }
+        prof.count(InstrClass::Control, b.len() as u64);
+    }
 }
 
 #[cfg(test)]

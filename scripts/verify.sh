@@ -191,6 +191,20 @@ timeout 300 cargo test -q -p bagpred-ml --lib -- --exact \
   flat::tests::forest_remap_rejects_a_short_map \
   flat::tests::forest_remap_rejects_targets_beyond_the_width
 
+echo "== cold path: one profiling pass per benchmark (bounded at 300s) =="
+# The one-pass profiler's invariants, run by name so they can never be
+# silently filtered out: every batch is a prefix of every larger batch,
+# the pass must equal a whole-batch run bit for bit for every benchmark
+# at the paper sizes and at 1..=64, concurrent misses on one pass must
+# share a single run, and the profiles and Fig. 4's LOOCV mean must keep
+# the bits pinned from the whole-batch profiler.
+timeout 300 cargo test -q -p bagpred-workloads --lib -- --exact \
+  image::tests::batches_are_prefixes_of_larger_batches \
+  workload::tests::one_pass_matches_whole_batch_runs_at_every_size \
+  workload::tests::concurrent_first_callers_share_one_computation
+timeout 300 cargo test -q --test pipeline -- --exact \
+  profiles_and_figure4_match_the_whole_batch_pin
+
 echo "== bench smoke + regression gate (vs committed BENCH_pipeline.json) =="
 # Few-iteration smoke run; `repro bench` exits non-zero when any
 # *_ns_per_record rate regresses past 2x the committed baseline.

@@ -148,3 +148,55 @@ fn cpu_time_correlates_with_bag_time() {
     let r = bagpred::ml::metrics::pearson(&cpu, &bag);
     assert!(r > 0.6, "log-corr(CPU time, bag GPU) = {r:.3}");
 }
+
+/// FNV-1a over the `Debug` rendering of each profile: every field, the
+/// floats at their shortest round-trip form, so any bit change shows.
+fn profile_digest(profiles: impl IntoIterator<Item = bagpred::trace::KernelProfile>) -> u64 {
+    profiles
+        .into_iter()
+        .flat_map(|p| format!("{p:?}\n").into_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The profiles (the 45 paper sizes plus 1..=64 for every benchmark) and
+/// Fig. 4's LOOCV mean are pinned to the bits the whole-batch profiler
+/// produced before profiling became one pass per benchmark.
+#[test]
+fn profiles_and_figure4_match_the_whole_batch_pin() {
+    let paper = profile_digest(
+        Benchmark::ALL
+            .iter()
+            .flat_map(|&bench| BATCH_SIZES.map(|batch| Workload::new(bench, batch).profile())),
+    );
+    let small: Vec<u64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = Benchmark::ALL
+            .map(|bench| {
+                scope.spawn(move || {
+                    profile_digest((1..=64).map(|batch| Workload::new(bench, batch).profile()))
+                })
+            })
+            .into_iter()
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let fig4 = bagpred::experiments::accuracy::figure4(bagpred::experiments::Context::shared());
+    assert_eq!(paper, 0x8f03_40af_e68a_fb21, "45 paper-size profiles");
+    let want_small = [
+        0xf246_3bb3_e1d5_053f,
+        0xafb7_92ef_a605_50d7,
+        0xa373_a5ac_ebdf_0ba5,
+        0x0c19_4840_fff0_1740,
+        0xa31b_7e1b_3bca_1472,
+        0x97dd_0fd1_3b93_f241,
+        0x1b10_c1d4_cf85_6111,
+        0x8559_feb8_6985_2458,
+        0xc48c_d54a_201c_6df3,
+    ];
+    for ((bench, got), want) in Benchmark::ALL.iter().zip(small).zip(want_small) {
+        assert_eq!(got, want, "{bench} profiles at sizes 1..=64");
+    }
+    // 23.29830059535938 %
+    assert_eq!(fig4.mean_error_percent.to_bits(), 0x4037_4c5d_6d85_7224);
+}
