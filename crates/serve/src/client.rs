@@ -302,7 +302,9 @@ impl Client {
         self.connect()?;
         let conn = self.conn.as_mut().expect("connection just installed");
         if conn.binary {
-            return Self::attempt_binary(conn, &mut self.stale_ids, line, request_id);
+            // The line rides in a `Line` frame tagged with `request_id`.
+            let request = Frame::new(request_id, Payload::Line(line.to_string()));
+            return self.frame_round_trip(&request);
         }
         // One write syscall for line + newline: the writer is a raw
         // `TcpStream`, and two small writes become two TCP segments —
@@ -321,28 +323,22 @@ impl Client {
         Ok(reply.trim_end().to_string())
     }
 
-    /// One request over the binary framing: the line rides in a `Line`
-    /// frame tagged with `request_id`, and the reply frame is rendered
-    /// back to the exact string the text protocol would have sent.
-    fn attempt_binary(
-        conn: &mut Conn,
-        stale: &mut HashSet<u64>,
-        line: &str,
-        request_id: u64,
-    ) -> std::io::Result<String> {
-        let request = Frame::new(request_id, Payload::Line(line.to_string()));
-        conn.writer.write_all(&frame::encode(&request))?;
+    /// Writes one frame on the (binary) connection and reads until the
+    /// reply naming its id arrives, rendered back to the exact string
+    /// the text protocol would have sent. One request is in flight per
+    /// `Client`, but replies to earlier attempts may straggle after an
+    /// I/O-timeout retry (or a cancelled hedge loser) on the same
+    /// connection; any id that is not ours is drained.
+    fn frame_round_trip(&mut self, request: &Frame) -> std::io::Result<String> {
+        let conn = self.conn.as_mut().expect("connection installed");
+        conn.writer.write_all(&frame::encode(request))?;
         conn.writer.flush()?;
         loop {
             let reply = Self::read_frame(&mut conn.reader)?;
-            // One request in flight per `Client`, but replies to
-            // earlier attempts may straggle after an I/O-timeout retry
-            // (or a cancelled hedge loser) on the same connection; drain
-            // any id that is not ours.
-            if reply.request_id == request_id {
+            if reply.request_id == request.request_id {
                 return Ok(render_reply(reply.payload));
             }
-            stale.remove(&reply.request_id);
+            self.stale_ids.remove(&reply.request_id);
         }
     }
 
@@ -525,21 +521,8 @@ impl Client {
         }
         let cancel_id = self.next_request_id;
         self.next_request_id += 1;
-        let conn = self.conn.as_mut().expect("connection just installed");
-        let stale = &mut self.stale_ids;
-        let send = (|| -> std::io::Result<String> {
-            let request = Frame::new(cancel_id, Payload::Cancel { target: id });
-            conn.writer.write_all(&frame::encode(&request))?;
-            conn.writer.flush()?;
-            loop {
-                let reply = Self::read_frame(&mut conn.reader)?;
-                if reply.request_id == cancel_id {
-                    return Ok(render_reply(reply.payload));
-                }
-                stale.remove(&reply.request_id);
-            }
-        })();
-        send.map_err(|err| {
+        let request = Frame::new(cancel_id, Payload::Cancel { target: id });
+        self.frame_round_trip(&request).map_err(|err| {
             // A dead socket cannot be reused; the next request reconnects.
             self.conn = None;
             ClientError::Io(err)
@@ -608,10 +591,10 @@ impl Client {
     /// [`last_request_id`](Self::last_request_id)). On a binary
     /// connection the report rides a compact `Outcome` frame whose own
     /// request id *is* the join key; on a text connection it falls back
-    /// to the `observe` line (where joining requires the server to have
-    /// seen the id on the wire, so text-only reports come back
-    /// `orphaned`). Returns the reply line: `ok outcome=matched` or
-    /// `ok outcome=orphaned`.
+    /// to the `observe` line (the server records only binary requests
+    /// for joining and scopes the id to the sender's connection, so
+    /// text-only reports come back `orphaned`). Returns the reply line:
+    /// `ok outcome=matched` or `ok outcome=orphaned`.
     ///
     /// # Errors
     ///
@@ -622,10 +605,6 @@ impl Client {
     /// inherits its retry loop, which is harmless for the same reason:
     /// a replayed report is counted as orphaned, never double-joined.
     pub fn report_outcome(&mut self, id: u64, actual_us: u64) -> Result<String, ClientError> {
-        // The text rendering is also the binary fallback: on a binary
-        // connection `attempt` wraps it in a Line frame tagged with a
-        // fresh id, and the engine reads the join key out of the parsed
-        // `observe` verb, so both framings reach the same code path.
         if self.conn.as_ref().is_some_and(|conn| conn.binary) {
             return self.report_outcome_binary(id, actual_us);
         }
@@ -635,24 +614,9 @@ impl Client {
     /// The binary-framed outcome report: 8 payload bytes, joined by the
     /// frame's own request id.
     fn report_outcome_binary(&mut self, id: u64, actual_us: u64) -> Result<String, ClientError> {
-        if let Err(err) = self.connect() {
-            return Err(ClientError::Io(err));
-        }
-        let conn = self.conn.as_mut().expect("connection just installed");
-        let stale = &mut self.stale_ids;
+        self.connect().map_err(ClientError::Io)?;
         let request = Frame::new(id, Payload::Outcome { actual_us });
-        let send = (|| -> std::io::Result<String> {
-            conn.writer.write_all(&frame::encode(&request))?;
-            conn.writer.flush()?;
-            loop {
-                let reply = Self::read_frame(&mut conn.reader)?;
-                if reply.request_id == id {
-                    return Ok(render_reply(reply.payload));
-                }
-                stale.remove(&reply.request_id);
-            }
-        })();
-        send.map_err(|err| {
+        self.frame_round_trip(&request).map_err(|err| {
             // A dead socket cannot be reused; the next request reconnects.
             self.conn = None;
             ClientError::Io(err)
@@ -691,7 +655,7 @@ fn hedged_line(line: &str, elapsed: Duration, primary_id: u64) -> Option<String>
 /// raw `f64` bits with the server's shortest-roundtrip formatter,
 /// framed text replies pass through verbatim, and errors regain their
 /// `err ` prefix.
-fn render_reply(payload: Payload) -> String {
+pub(crate) fn render_reply(payload: Payload) -> String {
     match payload {
         Payload::Prediction { model, predicted_s } => {
             format!("ok model={model} predicted_s={}", fmt_f64(predicted_s))

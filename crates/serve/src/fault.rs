@@ -43,14 +43,17 @@ pub enum FaultSite {
     /// final path, as a plain non-atomic write would leave them.
     TornSnapshotWrite,
     /// Sleep for `ms=` before writing a reply to the socket, exercising
-    /// client timeouts and retry.
+    /// client timeouts and retry. Fires on both dialects.
     StallReplyWrite,
     /// Swallow a reply frame instead of writing it, exercising the
     /// hedging client's ability to win via its other attempt (and the
-    /// soak harness's stuck-connection invariant).
+    /// soak harness's stuck-connection invariant). Binary replies only:
+    /// a text client has no other attempt to win with.
     DropReply,
     /// Write a reply frame twice, exercising the client's stale-id
     /// discard — the duplicate must be skipped, never misdelivered.
+    /// Binary replies only: a text reply carries no id a client could
+    /// discard a duplicate by.
     DupReply,
     /// Sleep for `ms=` inside the cancel fast path, widening the window
     /// of the cancel-vs-reply race the soak harness drills.

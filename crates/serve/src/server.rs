@@ -3,16 +3,19 @@
 //! connection, over [`PredictionService`].
 //!
 //! Pure `std::net`: an accept-loop thread plus one thread per
-//! connection. The dialect is decided by the first byte the client
-//! sends — the binary magic's first byte is not printable ASCII, and
-//! every text verb starts with an ASCII letter — and a text connection
-//! can also upgrade mid-stream by sending the
-//! [`frame::HELLO_BINARY`] line. A text connection reads
-//! newline-terminated requests, forwards them to the engine, and writes
-//! exactly one `ok ...` or `err ...` line per request, in order. A
-//! binary connection is multiplexed: requests carry client-assigned ids,
-//! a dedicated writer thread forwards replies in *completion* order, and
-//! a slow request does not head-of-line-block the replies behind it.
+//! connection, each running one read → dispatch → write loop. The
+//! dialect is a codec over that loop, decided by the first byte the
+//! client sends — the binary magic's first byte is not printable ASCII,
+//! and every text verb starts with an ASCII letter — and a text
+//! connection can also upgrade mid-stream by sending the
+//! [`frame::HELLO_BINARY`] line. A text line is dispatched exactly like
+//! a binary `Line` frame and answered with one `ok ...` or `err ...`
+//! line, in request order. A binary connection is multiplexed: requests
+//! carry client-assigned ids, a dedicated writer thread forwards replies
+//! in *completion* order, and a slow request does not head-of-line-block
+//! the replies behind it. Every id a request names reaches the engine
+//! scoped to its connection, so no client can cancel, hedge against, or
+//! report an outcome for another client's request.
 //! Concurrency control lives in the engine (bounded per-shard queues +
 //! worker pools), so a slow or malicious client can at worst occupy its
 //! own connection thread — it cannot starve other clients of prediction
@@ -447,6 +450,9 @@ fn answer_scrape(mut stream: TcpStream, service: &PredictionService) -> io::Resu
     stream.flush()
 }
 
+/// Serves one connection: one read → dispatch → write loop for both
+/// dialects, with the dialect a [`Codec`] chosen from the first byte
+/// and switched in place by the [`frame::HELLO_BINARY`] line.
 fn handle_connection(
     stream: TcpStream,
     service: &PredictionService,
@@ -457,136 +463,58 @@ fn handle_connection(
     // without the read timeout a half-open client (connected, never
     // sending) parks this thread in `read` forever; without the write
     // timeout a client that pipelines requests but never drains replies
-    // fills its socket buffers and parks the thread in `write_all` — in
+    // fills its socket buffers and parks a thread in `write_all` — in
     // either case `shutdown` would hang joining it. A timed-out write
-    // (`WouldBlock`/`TimedOut` below) propagates as a fatal connection
-    // error: the reply would be torn anyway.
+    // (`WouldBlock`/`TimedOut`) propagates as a fatal connection error:
+    // the reply would be torn anyway.
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
-    let mut writer = stream.try_clone()?;
+    let writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     // Auto-detect the dialect from the first byte: the binary magic
     // starts with a non-ASCII byte, every text verb with an ASCII
     // letter, so one peeked byte decides without consuming anything.
-    match first_byte(&mut reader, stop)? {
+    let binary = match first_byte(&mut reader, stop)? {
         None => return Ok(()), // EOF or stop before any byte arrived
-        Some(byte) if byte == frame::MAGIC[0] => {
-            return handle_binary(reader, writer, service, stop, config);
-        }
-        Some(_) => {}
-    }
-    // Bytes, not a String: `BufRead::read_line` drops a trailing
-    // incomplete UTF-8 sequence when a read times out mid-character,
-    // silently corrupting the request. `read_until` keeps every byte
-    // across timeouts; UTF-8 is validated once a full line is present.
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        // Checked before every line — not only after one arrives — so a
-        // client streaming requests back-to-back cannot postpone drain
-        // indefinitely.
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break, // EOF: client hung up.
-            Ok(_) => {
-                let ended_with_newline = line.last() == Some(&b'\n');
-                let mut upgrade = false;
-                let outcome = match std::str::from_utf8(&line) {
-                    Err(_) => Some(Err(ServeError::BadRequest(
-                        "request is not valid UTF-8".into(),
-                    ))),
-                    Ok(text) => {
-                        let request = text.trim();
-                        if request == "quit" || request == "exit" {
-                            break;
-                        }
-                        if request == frame::HELLO_BINARY {
-                            // Feature negotiation: acknowledge in text,
-                            // then switch this same connection to the
-                            // binary framing. A server without binary
-                            // support would answer `err ...`, which the
-                            // client takes as "stay on text".
-                            upgrade = true;
-                            None
-                        } else if request.is_empty() {
-                            None
-                        } else {
-                            // The trace starts when a complete line is in
-                            // hand, so its parse span measures parsing,
-                            // not how slowly the client dribbled bytes.
-                            let mut trace = Trace::new();
-                            let parsed = parse_request_options(request);
-                            trace.mark(Stage::Parse);
-                            Some(match parsed {
-                                // Parse errors never reach the queue;
-                                // they are answered inline so malformed
-                                // floods cannot shed well-formed load.
-                                Err(err) => Err(err),
-                                // Admin commands touch the filesystem (or,
-                                // for `trace`, dump other clients' request
-                                // summaries); refused unless this listener
-                                // opted in.
-                                Ok((request, _)) if request.is_admin() && !config.admin => {
-                                    Err(ServeError::AdminDisabled)
-                                }
-                                Ok((request, options)) => {
-                                    service.submit(request, trace, options).and_then(|rx| {
-                                        rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
-                                    })
-                                }
-                            })
-                        }
+        Some(byte) => byte == frame::MAGIC[0],
+    };
+    thread::scope(|scope| {
+        let mut conn = Conn {
+            service,
+            config,
+            writer: &writer,
+            tag: CONN_SEQ.fetch_add(1, Ordering::Relaxed) & WIRE_ID_MASK,
+            tagged: binary.then(|| spawn_writer(scope, &writer, service)),
+        };
+        // Returning drops `conn` and with it the reader's sender, which
+        // lets the writer drain: the engine-held clones drop as
+        // in-flight jobs finish, the channel closes, and the writer
+        // exits after forwarding every reply; the scope joins it.
+        loop {
+            match conn.codec().read(&mut reader, stop)? {
+                Incoming::Request(request) => {
+                    if !conn.dispatch(request)? {
+                        return Ok(()); // client said quit/exit
                     }
-                };
-                if let Some(outcome) = outcome {
-                    // Fault site `stall_reply_write`: the injected pause
-                    // sits *inside* the reply-write span, so stalled
-                    // writes show up in the stage histogram exactly like
-                    // a congested socket would.
-                    let write_started = Instant::now();
-                    if let Some(delay) = service
-                        .faults()
-                        .fire_delay(crate::fault::FaultSite::StallReplyWrite, None)
-                    {
-                        thread::sleep(delay);
-                    }
-                    // Reply + newline in one write: the writer is a raw
-                    // `TcpStream`, and a separate `\n` write becomes its
-                    // own TCP segment that Nagle parks behind the reply
-                    // segment's (possibly delayed) ACK — tens of
-                    // milliseconds added to every text request.
-                    let mut reply = format_outcome(&outcome);
-                    reply.push('\n');
-                    writer.write_all(reply.as_bytes())?;
-                    writer.flush()?;
-                    // The engine consumed the per-request trace when it
-                    // finished the job, so the write span lands in the
-                    // global stage histogram only.
-                    service.record_stage(Stage::ReplyWrite, write_started.elapsed());
                 }
-                line.clear();
-                if upgrade {
-                    writer.write_all(format!("{}\n", frame::HELLO_BINARY_OK).as_bytes())?;
-                    writer.flush()?;
-                    return handle_binary(reader, writer, service, stop, config);
+                Incoming::Answer(wire_id, outcome) => conn.reply(wire_id, outcome)?,
+                Incoming::Blank => {}
+                Incoming::Upgrade => {
+                    // Feature negotiation: acknowledge in text, then
+                    // switch this same connection to the binary framing.
+                    // A server without binary support would answer
+                    // `err ...`, which the client takes as "stay on text".
+                    (&writer).write_all(format!("{}\n", frame::HELLO_BINARY_OK).as_bytes())?;
+                    conn.tagged = Some(spawn_writer(scope, &writer, service));
                 }
-                if !ended_with_newline {
-                    break; // EOF after an unterminated final line.
+                Incoming::Fatal(outcome) => {
+                    conn.reply(0, outcome)?;
+                    return Ok(());
                 }
+                Incoming::End => return Ok(()),
             }
-            // Read timeout: nothing (or only a partial line) arrived.
-            // The partial bytes stay in `line` — read_until appends — so
-            // a slow sender loses nothing; loop to re-check `stop`.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
         }
-    }
-    Ok(())
+    })
 }
 
 /// Peeks the connection's first byte without consuming it, waiting
@@ -599,58 +527,20 @@ fn first_byte(reader: &mut BufReader<TcpStream>, stop: &AtomicBool) -> io::Resul
         }
         match reader.fill_buf() {
             Ok(buf) => return Ok(buf.first().copied()), // empty => EOF
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if is_timeout(&e) => continue,
             Err(e) => return Err(e),
         }
     }
 }
 
-/// Serves one connection speaking the length-prefixed binary framing
-/// ([`crate::frame`]).
-///
-/// Requests are decoded on this thread and submitted to the engine
-/// tagged with their client-assigned request id; a dedicated writer
-/// thread forwards replies in *completion* order, so a slow request
-/// does not head-of-line-block the replies queued behind it — the
-/// wire-level half of what per-model sharding does inside the engine.
-/// A malformed body inside a valid prelude is answered with an error
-/// frame (naming the request id, which survives even in garbage) and
-/// the connection continues; an unusable prelude — wrong magic or
-/// version, oversized length — has no recoverable frame boundary, so
-/// the connection closes after one final error frame.
-fn handle_binary(
-    mut reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    service: &PredictionService,
-    stop: &AtomicBool,
-    config: &ServerConfig,
-) -> io::Result<()> {
-    let conn_tag = CONN_SEQ.fetch_add(1, Ordering::Relaxed) & WIRE_ID_MASK;
-    let (tx, rx) = mpsc::channel::<(u64, Outcome)>();
-    thread::scope(|scope| {
-        let writer_handle = scope.spawn(|| write_reply_frames(writer, rx, service));
-        let result = read_request_frames(&mut reader, service, stop, config, conn_tag, &tx);
-        // Dropping the reader's sender lets the writer drain: the
-        // engine-held clones drop as in-flight jobs finish, the channel
-        // closes, and the writer exits after forwarding every reply.
-        drop(tx);
-        let _ = writer_handle.join();
-        result
-    })
-}
-
-/// Allocates each binary connection a namespace for its client-chosen
-/// request ids. Wraps after 2^32 connections — by then the earliest
+/// Allocates each connection a namespace for the request ids its
+/// client names. Wraps after 2^32 connections — by then the earliest
 /// namespaces have no surviving state to collide with.
 static CONN_SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Low half of an engine tag: the client's wire id, echoed in replies.
 /// The upper half is the connection namespace — request ids are
-/// effectively 32-bit per connection on the binary transport.
+/// effectively 32-bit per connection on the wire.
 const WIRE_ID_MASK: u64 = 0xFFFF_FFFF;
 
 /// Scopes a client-chosen wire id to its connection before it reaches
@@ -658,250 +548,393 @@ const WIRE_ID_MASK: u64 = 0xFFFF_FFFF;
 /// the wire, but the engine's cancel registry, hedge ledger, and
 /// pending-outcome ring are global — without this, client A's
 /// `cancel id=7` could drop client B's in-flight request 7 (every
-/// client counts from 1). Replies strip the namespace back off.
+/// client counts from 1), and a guessed namespace would do the same.
+/// Replies strip the namespace back off.
 fn namespaced(conn_tag: u64, wire_id: u64) -> u64 {
     (conn_tag << 32) | (wire_id & WIRE_ID_MASK)
 }
 
-/// The binary connection's read half: frames in, engine submissions out.
-fn read_request_frames(
-    reader: &mut BufReader<TcpStream>,
-    service: &PredictionService,
-    stop: &AtomicBool,
-    config: &ServerConfig,
-    conn_tag: u64,
-    tx: &mpsc::Sender<(u64, Outcome)>,
-) -> io::Result<()> {
-    let mut prelude = [0u8; frame::PRELUDE_LEN];
-    loop {
-        match read_full(reader, &mut prelude, stop)? {
-            ReadFull::Full => {}
-            ReadFull::Eof | ReadFull::Stopped => return Ok(()),
+/// A connection's wire dialect: how one request is read off the socket
+/// and how one reply is encoded back onto it.
+#[derive(Clone, Copy)]
+enum Codec {
+    /// Newline-terminated request lines, one `ok ...`/`err ...` line back.
+    Text,
+    /// Length-prefixed frames ([`crate::frame`]) carrying request ids.
+    Binary,
+}
+
+/// What one read off the wire produced, in either dialect.
+enum Incoming {
+    /// A request to dispatch; a text line arrives as [`Payload::Line`].
+    Request(Frame),
+    /// A request answered without dispatch: invalid UTF-8, or a
+    /// malformed body inside a sound frame boundary (named by the wire
+    /// id readable even in garbage, else 0).
+    Answer(u64, Outcome),
+    /// A blank text line: skipped, no reply.
+    Blank,
+    /// The [`frame::HELLO_BINARY`] line: switch to binary frames.
+    Upgrade,
+    /// An unusable binary prelude — wrong magic or version, oversized
+    /// length — has no recoverable frame boundary: one final error
+    /// reply, then close.
+    Fatal(Outcome),
+    /// EOF, or the stop flag was raised.
+    End,
+}
+
+impl Codec {
+    fn read(self, reader: &mut BufReader<TcpStream>, stop: &AtomicBool) -> io::Result<Incoming> {
+        match self {
+            Codec::Text => read_line(reader, stop),
+            Codec::Binary => read_frame(reader, stop),
         }
-        let body_len = match frame::decode_prelude(&prelude) {
-            Ok(len) => len,
-            Err(err @ frame::FrameError::Malformed(_)) => {
-                // The declared length is in bounds but too short for a
-                // frame header: the boundary is still known, so skip the
-                // body and keep the connection. No request id is
-                // readable — answer with id 0.
-                let len =
-                    u32::from_le_bytes([prelude[3], prelude[4], prelude[5], prelude[6]]) as usize;
-                let mut skipped = vec![0u8; len];
-                match read_full(reader, &mut skipped, stop)? {
-                    ReadFull::Full => {}
-                    ReadFull::Eof | ReadFull::Stopped => return Ok(()),
-                }
-                let _ = tx.send((0, Err(err.to_serve_error())));
-                continue;
+    }
+
+    /// One reply's bytes, written with a single `write_all`. Text puts
+    /// the line and its newline in one write: the writer is a raw
+    /// `TcpStream`, and a separate `\n` write becomes its own TCP
+    /// segment that Nagle parks behind the reply segment's (possibly
+    /// delayed) ACK — tens of milliseconds added to every text request.
+    fn encode(self, wire_id: u64, outcome: Outcome) -> Vec<u8> {
+        match self {
+            Codec::Text => {
+                let mut line = format_outcome(&outcome);
+                line.push('\n');
+                line.into_bytes()
             }
-            Err(err) => {
-                // Wrong magic/version or oversized length: no resync
-                // possible. One final error frame, then close.
-                let _ = tx.send((0, Err(err.to_serve_error())));
-                return Ok(());
-            }
-        };
-        let mut body = vec![0u8; body_len];
-        match read_full(reader, &mut body, stop)? {
-            ReadFull::Full => {}
-            ReadFull::Eof | ReadFull::Stopped => return Ok(()),
-        }
-        match frame::decode_body(&body) {
-            Ok(request_frame) => {
-                if !dispatch_frame(request_frame, service, config, conn_tag, tx) {
-                    return Ok(()); // client said quit/exit
-                }
-            }
-            Err(err) => {
-                // Garbage body inside a known boundary: answer the
-                // request — its id is readable even in garbage — and
-                // keep the connection.
-                let id = frame::peek_request_id(&body).unwrap_or(0);
-                let _ = tx.send((id, Err(err.to_serve_error())));
-            }
+            Codec::Binary => frame::encode(&reply_frame(wire_id, outcome)),
         }
     }
 }
 
-/// Decodes one request frame into an engine submission (or an inline
-/// error reply). Returns `false` when the client asked to close the
-/// connection (`quit`/`exit` sent as a line frame).
-fn dispatch_frame(
-    request_frame: Frame,
-    service: &PredictionService,
-    config: &ServerConfig,
-    conn_tag: u64,
-    tx: &mpsc::Sender<(u64, Outcome)>,
-) -> bool {
-    let Frame {
-        request_id,
-        trace_context,
-        payload,
-    } = request_frame;
-    // Everything id-shaped that crosses into the engine — the tag, a
-    // hedge link, a cancel target, an outcome join key — is scoped to
-    // this connection; see [`namespaced`].
-    let request_id = namespaced(conn_tag, request_id);
-    // The upstream trace context rides into the engine's per-request
-    // trace, so a slow-request summary can name the caller's span.
-    let make_trace = || match &trace_context {
-        Some(context) => Trace::with_context(context.clone()),
-        None => Trace::new(),
+/// Reads one request line. Bytes, not a String: `BufRead::read_line`
+/// drops a trailing incomplete UTF-8 sequence when a read times out
+/// mid-character, silently corrupting the request. `read_until` keeps
+/// every byte across timeouts; UTF-8 is validated once a full line is
+/// present. The stop flag is checked before every read — not only
+/// after a line arrives — so a client streaming requests back-to-back
+/// cannot postpone drain indefinitely.
+fn read_line(reader: &mut BufReader<TcpStream>, stop: &AtomicBool) -> io::Result<Incoming> {
+    let mut line = Vec::new();
+    loop {
+        if stop.load(Ordering::Acquire) {
+            return Ok(Incoming::End);
+        }
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) => return Ok(Incoming::End), // EOF: client hung up.
+            Ok(_) => break,
+            // Read timeout: nothing (or only a partial line) arrived.
+            // The partial bytes stay in `line` — read_until appends —
+            // so a slow sender loses nothing.
+            Err(e) if is_timeout(&e) => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    let Ok(text) = String::from_utf8(line) else {
+        let err = ServeError::BadRequest("request is not valid UTF-8".into());
+        return Ok(Incoming::Answer(0, Err(err)));
     };
-    match payload {
-        Payload::Predict {
-            model,
-            apps,
-            deadline,
-            priority,
-            hedge_of,
-        } => {
-            let mut trace = make_trace();
-            trace.mark(Stage::Parse); // frame decode is the parse work
-            let request = Request::Predict { model, apps };
-            let options = RequestOptions {
+    Ok(match text.trim() {
+        "" => Incoming::Blank,
+        frame::HELLO_BINARY => Incoming::Upgrade,
+        _ => Incoming::Request(Frame::new(0, Payload::Line(text))),
+    })
+}
+
+/// Reads one request frame. A malformed body inside a valid prelude is
+/// answered (naming the request id, which survives even in garbage) and
+/// the connection continues; an unusable prelude is [`Incoming::Fatal`].
+fn read_frame(reader: &mut BufReader<TcpStream>, stop: &AtomicBool) -> io::Result<Incoming> {
+    let mut prelude = [0u8; frame::PRELUDE_LEN];
+    if !read_full(reader, &mut prelude, stop)? {
+        return Ok(Incoming::End);
+    }
+    let body_len = match frame::decode_prelude(&prelude) {
+        Ok(len) => len,
+        Err(err @ frame::FrameError::Malformed(_)) => {
+            // The declared length is in bounds but too short for a
+            // frame header: the boundary is still known, so skip the
+            // body and keep the connection. No request id is readable
+            // — answer with id 0.
+            let len = u32::from_le_bytes([prelude[3], prelude[4], prelude[5], prelude[6]]) as usize;
+            let mut skipped = vec![0u8; len];
+            if !read_full(reader, &mut skipped, stop)? {
+                return Ok(Incoming::End);
+            }
+            return Ok(Incoming::Answer(0, Err(err.to_serve_error())));
+        }
+        Err(err) => return Ok(Incoming::Fatal(Err(err.to_serve_error()))),
+    };
+    let mut body = vec![0u8; body_len];
+    if !read_full(reader, &mut body, stop)? {
+        return Ok(Incoming::End);
+    }
+    Ok(match frame::decode_body(&body) {
+        Ok(request) => Incoming::Request(request),
+        Err(err) => {
+            let wire_id = frame::peek_request_id(&body).unwrap_or(0);
+            Incoming::Answer(wire_id, Err(err.to_serve_error()))
+        }
+    })
+}
+
+/// Fills `buf` across read timeouts, re-checking the stop flag before
+/// every read — a binary client that dribbles a frame byte-by-byte
+/// cannot corrupt it, and a silent one cannot block shutdown's drain.
+/// Returns false when the peer hung up first (clean or torn mid-frame,
+/// the connection is done either way) or the stop flag was raised.
+fn read_full(reader: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        if stop.load(Ordering::Acquire) {
+            return Ok(false);
+        }
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => return Ok(false),
+            Ok(n) => filled += n,
+            Err(e) if is_timeout(&e) => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// A socket read that hit its timeout rather than failing.
+fn is_timeout(err: &io::Error) -> bool {
+    matches!(
+        err.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// One connection's request path, shared by both dialects.
+///
+/// Where replies go is what differs. **Text** is answered on the reader
+/// thread, one request at a time, in request order: submissions are
+/// untagged (they never enter the cancel registry, hedge ledger, or
+/// pending-outcome ring), and the reader waits on a reply channel whose
+/// only sender the engine's job holds — so an engine shutdown that
+/// drops the job wakes it with `ShuttingDown`. **Binary** is multiplexed:
+/// submissions are tagged with their connection-namespaced id and a
+/// dedicated writer thread forwards replies in *completion* order, so a
+/// slow request does not head-of-line-block the replies behind it. The
+/// writer thread stays (rather than engine workers writing to sockets)
+/// so a client that stops reading parks only its own writer for the
+/// write timeout, never a shard worker.
+struct Conn<'a> {
+    service: &'a PredictionService,
+    config: &'a ServerConfig,
+    writer: &'a TcpStream,
+    /// This connection's namespace for wire ids; see [`namespaced`].
+    tag: u64,
+    /// The writer thread's channel, once the connection speaks binary.
+    tagged: Option<mpsc::Sender<(u64, Outcome)>>,
+}
+
+impl Conn<'_> {
+    fn codec(&self) -> Codec {
+        if self.tagged.is_some() {
+            Codec::Binary
+        } else {
+            Codec::Text
+        }
+    }
+
+    /// Turns one request into an engine submission or an inline reply.
+    /// Returns `false` when the client asked to close the connection
+    /// (`quit`/`exit`).
+    fn dispatch(&self, request: Frame) -> io::Result<bool> {
+        let tag = namespaced(self.tag, request.request_id);
+        // The upstream trace context rides into the engine's per-request
+        // trace, so a slow-request summary can name the caller's span.
+        let make_trace = || match &request.trace_context {
+            Some(context) => Trace::with_context(context.clone()),
+            None => Trace::new(),
+        };
+        match request.payload {
+            Payload::Predict {
+                model,
+                apps,
                 deadline,
                 priority,
-                hedge_of: hedge_of.map(|primary| namespaced(conn_tag, primary)),
-            };
-            if let Err(err) = service.submit_tagged(request, trace, options, request_id, tx.clone())
-            {
-                let _ = tx.send((request_id, Err(err)));
+                hedge_of,
+            } => {
+                let mut trace = make_trace();
+                trace.mark(Stage::Parse); // frame decode is the parse work
+                let options = RequestOptions {
+                    deadline,
+                    priority,
+                    hedge_of,
+                };
+                self.submit(Request::Predict { model, apps }, trace, options, tag)?;
             }
-            true
-        }
-        Payload::Cancel { target } => {
-            // Answered inline, never queued: a cancel enqueued behind
-            // the very backlog it is trying to trim would always lose
-            // the race it exists to win.
-            let pending = service.cancel(namespaced(conn_tag, target));
-            let _ = tx.send((request_id, Ok(Reply::Cancelled { pending })));
-            true
-        }
-        Payload::Line(text) => {
-            let request = text.trim();
-            if request == "quit" || request == "exit" {
-                return false;
+            Payload::Cancel { target } => {
+                // Answered inline, never queued: a cancel enqueued behind
+                // the very backlog it is trying to trim would always lose
+                // the race it exists to win.
+                let pending = self.service.cancel(namespaced(self.tag, target));
+                self.reply(tag, Ok(Reply::Cancelled { pending }))?;
             }
-            if request.is_empty() {
-                let _ = tx.send((
-                    request_id,
-                    Err(ServeError::BadRequest("empty request".into())),
-                ));
-                return true;
-            }
-            let mut trace = make_trace();
-            let parsed = parse_request_options(request);
-            trace.mark(Stage::Parse);
-            let submitted = match parsed {
-                // Parse errors and refused admin commands never reach
-                // the queue — answered inline, same as the text loop.
-                Err(err) => Err(err),
-                Ok((request, _)) if request.is_admin() && !config.admin => {
-                    Err(ServeError::AdminDisabled)
+            Payload::Line(text) => {
+                let line = text.trim();
+                if line == "quit" || line == "exit" {
+                    return Ok(false);
                 }
-                Ok((request, options)) => {
-                    let options = RequestOptions {
-                        hedge_of: options
-                            .hedge_of
-                            .map(|primary| namespaced(conn_tag, primary)),
-                        ..options
-                    };
-                    service.submit_tagged(request, trace, options, request_id, tx.clone())
+                if line.is_empty() {
+                    let err = ServeError::BadRequest("empty request".into());
+                    self.reply(tag, Err(err))?;
+                    return Ok(true);
                 }
-            };
-            if let Err(err) = submitted {
-                let _ = tx.send((request_id, Err(err)));
+                // The trace starts when the whole line is in hand, so its
+                // parse span measures parsing, not how slowly the client
+                // dribbled bytes.
+                let mut trace = make_trace();
+                let parsed = parse_request_options(line);
+                trace.mark(Stage::Parse);
+                match parsed {
+                    // Parse errors never reach the queue; they are
+                    // answered inline so malformed floods cannot shed
+                    // well-formed load.
+                    Err(err) => self.reply(tag, Err(err))?,
+                    // Admin commands touch the filesystem (or, for
+                    // `trace`, dump other clients' request summaries);
+                    // refused unless this listener opted in.
+                    Ok((request, _)) if request.is_admin() && !self.config.admin => {
+                        self.reply(tag, Err(ServeError::AdminDisabled))?;
+                    }
+                    Ok((request, options)) => self.submit(request, trace, options, tag)?,
+                }
             }
-            true
-        }
-        Payload::Outcome { actual_us } => {
-            // The frame's own request id names the prediction being
-            // reported on — the engine joins it against the pending
-            // ring. Never fatal: an unmatched report is counted, and
-            // the client gets an `ok outcome=orphaned` line back.
-            let mut trace = make_trace();
-            trace.mark(Stage::Parse);
-            let request = Request::Observe {
-                id: request_id,
-                actual_us,
-            };
-            if let Err(err) = service.submit_tagged(
-                request,
-                trace,
-                RequestOptions::default(),
-                request_id,
-                tx.clone(),
-            ) {
-                let _ = tx.send((request_id, Err(err)));
+            Payload::Outcome { actual_us } => {
+                // The frame's own request id names the prediction being
+                // reported on — the engine joins it against the pending
+                // ring. Never fatal: an unmatched report is counted, and
+                // the client gets an `ok outcome=orphaned` line back.
+                let mut trace = make_trace();
+                trace.mark(Stage::Parse);
+                let id = request.request_id;
+                let observe = Request::Observe { id, actual_us };
+                self.submit(observe, trace, RequestOptions::default(), tag)?;
             }
-            true
+            Payload::Prediction { .. } | Payload::LineReply(_) | Payload::Error { .. } => {
+                let err = ServeError::Malformed("reply opcode in a request frame".into());
+                self.reply(tag, Err(err))?;
+            }
         }
-        Payload::Prediction { .. } | Payload::LineReply(_) | Payload::Error { .. } => {
-            let _ = tx.send((
-                request_id,
-                Err(ServeError::Malformed(
-                    "reply opcode in a request frame".into(),
-                )),
-            ));
-            true
+        Ok(true)
+    }
+
+    /// Submits a request to the engine with every id it names — a
+    /// cancel target, an outcome join key, a hedge link — scoped to
+    /// this connection, and routes the outcome to [`reply`](Self::reply).
+    fn submit(
+        &self,
+        mut request: Request,
+        trace: Trace,
+        mut options: RequestOptions,
+        tag: u64,
+    ) -> io::Result<()> {
+        if let Request::Cancel { id } | Request::Observe { id, .. } = &mut request {
+            *id = namespaced(self.tag, *id);
+        }
+        options.hedge_of = options.hedge_of.map(|id| namespaced(self.tag, id));
+        if let Some(tx) = &self.tagged {
+            let submitted = self
+                .service
+                .submit_tagged(request, trace, options, tag, tx.clone());
+            return submitted.or_else(|err| self.reply(tag, Err(err)));
+        }
+        let outcome = self
+            .service
+            .submit(request, trace, options)
+            .and_then(|rx| rx.recv().unwrap_or(Err(ServeError::ShuttingDown)));
+        self.reply(tag, outcome)
+    }
+
+    /// Answers one request: written here on text, handed to the writer
+    /// thread on binary (a closed channel means the writer already
+    /// failed fatally, and the reply has nowhere to go).
+    fn reply(&self, tag: u64, outcome: Outcome) -> io::Result<()> {
+        match &self.tagged {
+            Some(tx) => {
+                let _ = tx.send((tag, outcome));
+                Ok(())
+            }
+            None => write_reply(Codec::Text, self.writer, tag, outcome, self.service),
         }
     }
 }
 
-/// The binary connection's write half, on its own thread: forwards
-/// engine outcomes as reply frames in completion order. Predictions
-/// ride the compact fixed layout (raw `f64` bits); every other success
-/// is the text protocol's reply line framed verbatim; errors carry a
-/// stable numeric code next to the message the text protocol would
-/// have sent after `err `.
-fn write_reply_frames(
-    mut writer: TcpStream,
-    rx: mpsc::Receiver<(u64, Outcome)>,
-    service: &PredictionService,
-) {
-    for (request_id, outcome) in rx {
-        // Fault site `stall_reply_write`: the pause sits inside the
-        // reply-write span, exactly like the text loop's.
-        let write_started = Instant::now();
-        if let Some(delay) = service
-            .faults()
-            .fire_delay(FaultSite::StallReplyWrite, None)
-        {
-            thread::sleep(delay);
-        }
-        // Fault site `drop_reply`: the reply vanishes on the wire, as if
-        // a proxy ate the frame — the client's timeout/hedge machinery
-        // must recover, the engine's accounting is already final.
-        if service.faults().fire(FaultSite::DropReply, None) {
-            continue;
-        }
-        // The engine saw the connection-namespaced tag; the client gets
-        // its own wire id back.
-        let reply = reply_frame(request_id & WIRE_ID_MASK, outcome);
-        let encoded = frame::encode(&reply);
-        // Fault site `dup_reply`: the frame is delivered twice, as if a
-        // retransmit survived — clients must treat the second copy as a
-        // stale id and discard it.
-        let copies = if service.faults().fire(FaultSite::DupReply, None) {
-            2
-        } else {
-            1
-        };
-        // A failed or timed-out write is fatal to the connection (the
-        // frame would be torn anyway): stop forwarding and let the
-        // remaining replies drain into the closed channel.
-        for _ in 0..copies {
-            if writer.write_all(&encoded).is_err() || writer.flush().is_err() {
+/// Starts a binary connection's writer thread, which forwards engine
+/// outcomes as reply frames in completion order; returns its channel.
+fn spawn_writer<'scope, 'env>(
+    scope: &'scope thread::Scope<'scope, 'env>,
+    writer: &'env TcpStream,
+    service: &'env PredictionService,
+) -> mpsc::Sender<(u64, Outcome)> {
+    let (tx, rx) = mpsc::channel::<(u64, Outcome)>();
+    scope.spawn(move || {
+        for (tag, outcome) in rx {
+            // A failed or timed-out write is fatal to the connection
+            // (the frame would be torn anyway): stop forwarding and let
+            // the remaining replies drain into the closed channel.
+            if write_reply(Codec::Binary, writer, tag, outcome, service).is_err() {
                 return;
             }
         }
-        service.record_stage(Stage::ReplyWrite, write_started.elapsed());
-    }
+    });
+    tx
 }
 
-/// Maps an engine outcome to its binary reply frame.
+/// Writes one reply in `codec` and records its `ReplyWrite` span. The
+/// engine saw the connection-namespaced tag; the client gets its own
+/// wire id back.
+fn write_reply(
+    codec: Codec,
+    mut writer: &TcpStream,
+    tag: u64,
+    outcome: Outcome,
+    service: &PredictionService,
+) -> io::Result<()> {
+    // Fault site `stall_reply_write`: the injected pause sits *inside*
+    // the reply-write span, so stalled writes show up in the stage
+    // histogram exactly like a congested socket would.
+    let write_started = Instant::now();
+    if let Some(delay) = service
+        .faults()
+        .fire_delay(FaultSite::StallReplyWrite, None)
+    {
+        thread::sleep(delay);
+    }
+    // Fault sites `drop_reply` (the frame vanishes, as if a proxy ate
+    // it) and `dup_reply` (delivered twice, as if a retransmit
+    // survived) are binary-only: a binary client recovers through its
+    // timeout/hedge machinery and discards a duplicate as a stale id,
+    // but a text reply carries no id to tell a duplicate by.
+    let copies = match codec {
+        Codec::Text => 1,
+        Codec::Binary if service.faults().fire(FaultSite::DropReply, None) => return Ok(()),
+        Codec::Binary if service.faults().fire(FaultSite::DupReply, None) => 2,
+        Codec::Binary => 1,
+    };
+    let bytes = codec.encode(tag & WIRE_ID_MASK, outcome);
+    for _ in 0..copies {
+        writer.write_all(&bytes)?;
+    }
+    writer.flush()?;
+    // The engine consumed the per-request trace when it finished the
+    // job, so the write span lands in the global stage histogram only.
+    service.record_stage(Stage::ReplyWrite, write_started.elapsed());
+    Ok(())
+}
+
+/// Maps an engine outcome to its binary reply frame. Predictions ride
+/// the compact fixed layout (raw `f64` bits); every other success is
+/// the text protocol's reply line framed verbatim; errors carry a
+/// stable numeric code next to the message the text protocol would
+/// have sent after `err `.
 fn reply_frame(request_id: u64, outcome: Outcome) -> Frame {
     let payload = match outcome {
         Ok(Reply::Prediction { model, predicted_s }) => Payload::Prediction { model, predicted_s },
@@ -912,40 +945,6 @@ fn reply_frame(request_id: u64, outcome: Outcome) -> Frame {
         },
     };
     Frame::new(request_id, payload)
-}
-
-/// How a bounded-buffer read ended.
-enum ReadFull {
-    /// The buffer was filled completely.
-    Full,
-    /// The peer hung up first (clean at offset zero, torn mid-frame —
-    /// either way the connection is done).
-    Eof,
-    /// The stop flag was raised between reads.
-    Stopped,
-}
-
-/// Fills `buf` across read timeouts, re-checking the stop flag before
-/// every read — a binary client that dribbles a frame byte-by-byte
-/// cannot corrupt it, and a silent one cannot block shutdown's drain.
-fn read_full(reader: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> io::Result<ReadFull> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if stop.load(Ordering::Acquire) {
-            return Ok(ReadFull::Stopped);
-        }
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(ReadFull::Eof),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadFull::Full)
 }
 
 #[cfg(test)]
@@ -1617,6 +1616,190 @@ mod tests {
             panic!("expected an error frame, got {:?}", reply.payload);
         };
         assert_eq!(code, frame::error_code::ADMIN_DISABLED);
+        server.shutdown();
+        service.shutdown();
+    }
+
+    // --- one request path: id scoping and dialect parity ---
+
+    /// Sends a pair-tree predict as binary request 7 behind a pinned
+    /// worker and waits until it sits in the shard queue.
+    fn queue_victim(service: &PredictionService, writer: &mut impl Write) {
+        let victim = Payload::Predict {
+            model: Some(crate::bootstrap::PAIR_MODEL.into()),
+            apps: pair_apps(),
+            deadline: None,
+            priority: Priority::Normal,
+            hedge_of: None,
+        };
+        send_frame(writer, &Frame::new(7, victim));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while crate::observe::StatsReport::read(service.inner()).count("queue_depth") == 0 {
+            assert!(Instant::now() < deadline, "victim never queued");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn text_cancel_and_observe_cannot_reach_another_connections_request() {
+        let service = testutil::pinnable_service(400, 64);
+        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
+        let blocker = testutil::pin_worker(&service);
+        let first_tag = CONN_SEQ.load(Ordering::Relaxed);
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        queue_victim(&service, &mut writer);
+        // The victim's connection drew its namespace from this range
+        // (other tests' connections may widen it); a text client naming
+        // the victim's engine-side id under any of them must still reach
+        // only its own requests.
+        let guesses: Vec<u64> = (first_tag..CONN_SEQ.load(Ordering::Relaxed))
+            .map(|tag| namespaced(tag, 7))
+            .collect();
+        let cancels: Vec<String> = guesses.iter().map(|id| format!("cancel id={id}")).collect();
+        let cancels: Vec<&str> = cancels.iter().map(String::as_str).collect();
+        for reply in roundtrip(server.local_addr(), &cancels) {
+            assert_eq!(reply, "ok cancel=late");
+        }
+        let reply = read_frame(&mut reader);
+        assert_eq!(reply.request_id, 7);
+        assert!(
+            matches!(reply.payload, Payload::Prediction { .. }),
+            "the victim must be served: {:?}",
+            reply.payload
+        );
+        blocker.recv().expect("blocker answers").expect("predicts");
+        // Nor can the text client consume the victim's outcome join key.
+        let observes: Vec<String> = guesses
+            .iter()
+            .map(|id| format!("observe id={id} actual_us=1000"))
+            .collect();
+        let observes: Vec<&str> = observes.iter().map(String::as_str).collect();
+        for reply in roundtrip(server.local_addr(), &observes) {
+            assert_eq!(reply, "ok outcome=orphaned");
+        }
+        send_frame(
+            &mut writer,
+            &Frame::new(7, Payload::Outcome { actual_us: 1000 }),
+        );
+        let reply = read_frame(&mut reader);
+        assert_eq!(reply.request_id, 7);
+        assert_eq!(
+            reply.payload,
+            Payload::LineReply("ok outcome=matched".into())
+        );
+        server.shutdown();
+        service.shutdown();
+    }
+
+    #[test]
+    fn binary_line_cancel_reaches_the_same_connections_queued_request() {
+        let service = testutil::pinnable_service(400, 64);
+        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
+        let blocker = testutil::pin_worker(&service);
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        queue_victim(&service, &mut writer);
+        send_frame(
+            &mut writer,
+            &Frame::new(8, Payload::Line("cancel id=7".into())),
+        );
+        let replies: HashMap<u64, Payload> = (0..2)
+            .map(|_| {
+                let reply = read_frame(&mut reader);
+                (reply.request_id, reply.payload)
+            })
+            .collect();
+        assert_eq!(
+            replies[&8],
+            Payload::LineReply("ok cancel=pending".into()),
+            "the line verb must name this connection's request 7"
+        );
+        let Payload::Error { code, .. } = &replies[&7] else {
+            panic!("expected the victim's error frame, got {:?}", replies[&7]);
+        };
+        assert_eq!(*code, frame::error_code::CANCELLED);
+        blocker.recv().expect("blocker answers").expect("predicts");
+        server.shutdown();
+        service.shutdown();
+    }
+
+    #[test]
+    fn text_lines_and_binary_line_frames_get_byte_identical_replies() {
+        let (mut server, service) = start();
+        let script = [
+            "predict SIFT@20+KNN@40",
+            "predict SIFT@20+KNN@40+HOG@80",
+            "models",
+            "health",
+            "predict SIFT@20",
+            "save",
+        ];
+
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let mut text_replies = Vec::new();
+        for line in script {
+            writer
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("writes");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reads");
+            text_replies.push(reply.trim_end().to_string());
+        }
+        // A blank text line is skipped without a reply.
+        writer.write_all(b"\nmodels\n").expect("writes");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reads");
+        assert_eq!(reply.trim_end(), text_replies[2]);
+        writer.write_all(b"quit\n").expect("writes");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("reads EOF"), 0);
+        // Text submissions are untagged: none waits in the outcome ring.
+        let stats = roundtrip(server.local_addr(), &["stats"]).remove(0);
+        assert!(stats.contains(" outcomes_pending=0 "), "{stats}");
+
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        let mut binary_replies = Vec::new();
+        for (id, line) in (1u64..).zip(script) {
+            send_frame(&mut writer, &Frame::new(id, Payload::Line(line.into())));
+            let reply = read_frame(&mut reader);
+            assert_eq!(reply.request_id, id);
+            binary_replies.push(crate::client::render_reply(reply.payload));
+        }
+        assert_eq!(text_replies, binary_replies);
+        assert!(
+            text_replies[0].starts_with("ok model=pair-tree"),
+            "{text_replies:?}"
+        );
+        assert!(
+            text_replies[1].starts_with("ok model=nbag-tree"),
+            "{text_replies:?}"
+        );
+        assert!(
+            text_replies[4].starts_with("err bad request"),
+            "{text_replies:?}"
+        );
+        assert!(
+            text_replies[5].starts_with("err admin disabled"),
+            "{text_replies:?}"
+        );
+        // An empty line frame, unlike a blank text line, is answered.
+        send_frame(&mut writer, &Frame::new(9, Payload::Line(String::new())));
+        let reply = read_frame(&mut reader);
+        assert_eq!(reply.request_id, 9);
+        assert_eq!(
+            crate::client::render_reply(reply.payload),
+            "err bad request: empty request"
+        );
+        send_frame(&mut writer, &Frame::new(10, Payload::Line("quit".into())));
+        let mut byte = [0u8; 1];
+        assert_eq!(reader.read(&mut byte).expect("clean EOF"), 0);
         server.shutdown();
         service.shutdown();
     }

@@ -57,12 +57,18 @@ echo "== wire protocol: frame codec + sharding isolation (bounded at 300s) =="
 # connection, the negotiated binary client must render replies
 # byte-identical to the text dialect, predictions over the binary wire
 # must be bit-identical to the offline predictor, and a slowed model
-# must not drag a fast peer's p99 off its own shard.
+# must not drag a fast peer's p99 off its own shard. Both dialects run
+# one request path: a text line and a binary `Line` frame get the same
+# reply bytes, and every id a verb names is scoped to its connection,
+# so no client can cancel or consume the outcome of another's request.
 timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
   frame::prop_tests::round_trip_is_identity \
   frame::prop_tests::mutated_frames_fail_typed_never_panic \
   server::tests::malformed_binary_bodies_get_an_error_frame_and_the_connection_survives \
   server::tests::binary_replies_come_back_in_completion_order_not_submission_order \
+  server::tests::text_cancel_and_observe_cannot_reach_another_connections_request \
+  server::tests::binary_line_cancel_reaches_the_same_connections_queued_request \
+  server::tests::text_lines_and_binary_line_frames_get_byte_identical_replies \
   client::tests::client_negotiates_binary_and_renders_identical_reply_lines
 timeout 300 cargo test -q --test serving -- --exact \
   binary_wire_predictions_are_bit_identical_to_the_offline_predictor \
