@@ -79,17 +79,18 @@ where
 }
 
 /// The benchmarks by the cost of their one profiling pass over the five
-/// paper batch sizes, largest first (0.46 s for KNN down to 0.13 s for
-/// FaceDet, serial, on a 2-vCPU host).
+/// paper batch sizes, largest first (serial, on a 2-vCPU host: ORB 0.29 s,
+/// SIFT 0.23 s, KNN 0.22 s, ObjRec 0.18 s, SURF 0.14 s, HoG 0.11 s, then
+/// SVM, FAST and FaceDet at about 0.06 s each).
 const LARGEST_PASS_FIRST: [Benchmark; 9] = [
-    Benchmark::Knn,
-    Benchmark::Sift,
     Benchmark::Orb,
+    Benchmark::Sift,
+    Benchmark::Knn,
     Benchmark::ObjRec,
     Benchmark::Surf,
     Benchmark::Hog,
-    Benchmark::Fast,
     Benchmark::Svm,
+    Benchmark::Fast,
     Benchmark::FaceDet,
 ];
 

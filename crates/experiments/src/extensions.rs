@@ -290,19 +290,6 @@ impl SimilarityMatrix {
             table.render()
         )
     }
-
-    /// The most similar distinct pair.
-    pub fn closest_pair(&self) -> (usize, usize, f64) {
-        let mut best = (0, 0, f64::INFINITY);
-        for i in 0..self.matrix.len() {
-            for j in i + 1..self.matrix.len() {
-                if self.matrix[i][j] < best.2 {
-                    best = (i, j, self.matrix[i][j]);
-                }
-            }
-        }
-        best
-    }
 }
 
 /// Runs extension 5 at the standard batch size.

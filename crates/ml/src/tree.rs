@@ -106,31 +106,6 @@ impl DecisionTreeRegressor {
         self
     }
 
-    /// Sets the minimum number of samples required to split a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is less than 2.
-    pub fn with_min_samples_split(mut self, n: usize) -> Self {
-        assert!(n >= 2, "a split needs at least two samples");
-        self.min_samples_split = n;
-        self
-    }
-
-    /// Sets the minimum impurity decrease a split must achieve.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `decrease` is non-negative and finite.
-    pub fn with_min_impurity_decrease(mut self, decrease: f64) -> Self {
-        assert!(
-            decrease >= 0.0 && decrease.is_finite(),
-            "decrease must be non-negative"
-        );
-        self.min_impurity_decrease = decrease;
-        self
-    }
-
     /// The fitted root node, if [`fit`](Regressor::fit) has been called.
     pub fn root(&self) -> Option<&TreeNode> {
         self.root.as_ref()

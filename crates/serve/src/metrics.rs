@@ -450,22 +450,6 @@ impl ModelOutcome {
         &self.window
     }
 
-    /// Current Page-Hinkley test statistic.
-    pub fn drift_score(&self) -> f64 {
-        self.detector
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .score()
-    }
-
-    /// Whether the detector has fired (sticky until reset).
-    pub fn drift_fired(&self) -> bool {
-        self.detector
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .fired()
-    }
-
     /// Re-arm the detector (used when an admin load/reload installs a
     /// fresh model: its accuracy history starts over).
     pub fn reset_detector(&self) {

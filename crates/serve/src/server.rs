@@ -51,7 +51,9 @@ use crate::protocol::{format_outcome, parse_request_options, RequestOptions};
 use bagpred_obs::{Stage, Trace};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -478,7 +480,7 @@ fn handle_connection(
         None => return Ok(()), // EOF or stop before any byte arrived
         Some(byte) => byte == frame::MAGIC[0],
     };
-    thread::scope(|scope| {
+    let served = thread::scope(|scope| {
         let mut conn = Conn {
             service,
             config,
@@ -514,7 +516,13 @@ fn handle_connection(
                 Incoming::End => return Ok(()),
             }
         }
-    })
+    });
+    // Every reply is written (the scope joined any writer thread). Close
+    // the sending side first: when unread input is left — a refused
+    // overlong line — closing the socket resets it, and a FIN sent
+    // before the reset lets the client read its replies and a clean EOF.
+    let _ = writer.shutdown(Shutdown::Write);
+    served
 }
 
 /// Peeks the connection's first byte without consuming it, waiting
@@ -577,8 +585,8 @@ enum Incoming {
     /// The [`frame::HELLO_BINARY`] line: switch to binary frames.
     Upgrade,
     /// An unusable binary prelude — wrong magic or version, oversized
-    /// length — has no recoverable frame boundary: one final error
-    /// reply, then close.
+    /// length — or a text line over the bound has no recoverable request
+    /// boundary: one final error reply, then close.
     Fatal(Outcome),
     /// EOF, or the stop flag was raised.
     End,
@@ -622,8 +630,16 @@ fn read_line(reader: &mut BufReader<TcpStream>, stop: &AtomicBool) -> io::Result
         if stop.load(Ordering::Acquire) {
             return Ok(Incoming::End);
         }
-        match reader.read_until(b'\n', &mut line) {
+        // A line, newline included, is at most `MAX_BODY` bytes — the
+        // binary codec's body bound — so a client that never sends a
+        // newline cannot grow this buffer without limit.
+        let room = (frame::MAX_BODY - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => return Ok(Incoming::End), // EOF: client hung up.
+            Ok(_) if line.len() == frame::MAX_BODY && !line.ends_with(b"\n") => {
+                let err = ServeError::BadRequest("line too long".into());
+                return Ok(Incoming::Fatal(Err(err)));
+            }
             Ok(_) => break,
             // Read timeout: nothing (or only a partial line) arrived.
             // The partial bytes stay in `line` — read_until appends —
@@ -1538,6 +1554,28 @@ mod tests {
         let reply = read_frame(&mut reader);
         assert_eq!(reply.request_id, 5);
         assert!(matches!(reply.payload, Payload::Prediction { .. }));
+        server.shutdown();
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_overlong_text_line_gets_one_error_then_eof() {
+        let (mut server, service) = start();
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        // Twice the bound with no newline. The server stops reading at
+        // the bound, so the tail may meet a closed socket: the write's
+        // result is not the point.
+        let sender = thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 2 * frame::MAX_BODY]);
+        });
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reads the reply");
+        assert_eq!(reply, "err bad request: line too long\n");
+        let mut byte = [0u8; 1];
+        assert_eq!(reader.read(&mut byte).expect("clean EOF"), 0);
+        sender.join().expect("sender finishes");
         server.shutdown();
         service.shutdown();
     }

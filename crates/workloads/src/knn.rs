@@ -28,24 +28,41 @@ pub struct KnnOutput {
     pub accuracy: f64,
 }
 
-/// Classifies one query against the reference set.
-fn classify(query: &Sample, references: &[Sample], prof: &mut Profiler) -> f32 {
-    // Track the K smallest distances with their labels (insertion into a
-    // fixed-size sorted buffer, as the GPU formulation does per thread).
-    let mut best: Vec<(f32, f32)> = Vec::with_capacity(K);
-    for r in references {
-        let d = ops::squared_distance(&query.features, &r.features, prof);
+/// The [`K`] references nearest to `query`, nearest first, as
+/// `(squared distance, reference index)`. Reads no label, so its counts
+/// depend only on the features.
+fn nearest<'a>(
+    query: &[f32],
+    references: impl IntoIterator<Item = &'a [f32]>,
+    prof: &mut Profiler,
+) -> Vec<(f32, usize)> {
+    // Track the K smallest distances (insertion into a fixed-size sorted
+    // buffer, as the GPU formulation does per thread).
+    let mut best: Vec<(f32, usize)> = Vec::with_capacity(K);
+    for (i, r) in references.into_iter().enumerate() {
+        let d = ops::squared_distance(query, r, prof);
         let pos = best.partition_point(|&(bd, _)| bd < d);
         if pos < K {
             if best.len() == K {
                 best.pop();
             }
-            best.insert(pos, (d, r.label));
+            best.insert(pos, (d, i));
             prof.count(InstrClass::Stack, 2);
         }
         prof.count(InstrClass::Control, 2);
     }
-    let vote: f32 = best.iter().map(|&(_, l)| l).sum();
+    best
+}
+
+/// Classifies one query against the reference set by a majority vote of
+/// its nearest neighbors.
+fn classify(query: &Sample, references: &[Sample], prof: &mut Profiler) -> f32 {
+    let best = nearest(
+        &query.features,
+        references.iter().map(|r| r.features.as_slice()),
+        prof,
+    );
+    let vote: f32 = best.iter().map(|&(_, i)| references[i].label).sum();
     prof.count(InstrClass::Alu, K as u64);
     if vote >= 0.0 {
         1.0
@@ -93,6 +110,62 @@ pub(crate) fn run_batch(images: &[GrayImage], prof: &mut Profiler) -> KnnOutput 
         predictions,
         accuracy,
     }
+}
+
+/// The smallest batch from which every larger one shares its reference
+/// set: the samples of the first [`REF_IMAGES`] images.
+pub(crate) const SHARED_REFERENCES_FROM: usize = 2 * REF_IMAGES;
+
+/// The counts [`run_batch`] charges over each of the ascending prefix
+/// lengths `sizes` of `images`, with each size's reference and query
+/// sample numbers, from one pass that extracts and classifies every image
+/// once.
+///
+/// From [`SHARED_REFERENCES_FROM`] images on, the references are the same
+/// samples at every size and each query is classified against them alone.
+/// Labels come from the whole batch's median, but no count reads one: a
+/// size's counts are its images' extraction, its median sort and its
+/// queries' neighbor searches, each a running total taken at the size.
+///
+/// # Panics
+///
+/// Panics if a size is below [`SHARED_REFERENCES_FROM`].
+pub(crate) fn profile_prefixes(
+    images: impl Iterator<Item = GrayImage>,
+    sizes: &[usize],
+) -> Vec<(Profiler, usize, usize)> {
+    assert!(
+        sizes.iter().all(|&n| n >= SHARED_REFERENCES_FROM),
+        "batches below {SHARED_REFERENCES_FROM} images pick their own references"
+    );
+    let (mut extraction, mut search) = (Profiler::new(), Profiler::new());
+    let mut references: Vec<Vec<f32>> = Vec::new();
+    let mut queries = 0;
+    let mut profiles = Vec::with_capacity(sizes.len());
+    let mut patches = Vec::new();
+    for (n, image) in (1..).zip(images.take(sizes[sizes.len() - 1])) {
+        svm::push_patches(&image, SAMPLE_STRIDE, &mut patches, &mut extraction);
+        if n <= REF_IMAGES {
+            references.append(&mut patches);
+        } else {
+            for query in patches.drain(..) {
+                nearest(&query, references.iter().map(Vec::as_slice), &mut search);
+                // The vote and the query loop, as `classify` and
+                // `run_batch` charge them.
+                search.count(InstrClass::Alu, K as u64);
+                search.count(InstrClass::Control, 1);
+                queries += 1;
+            }
+        }
+        if sizes.contains(&n) {
+            let mut prof = extraction.clone();
+            let samples = references.len() + queries;
+            prof.count(InstrClass::Alu, svm::median_sort_charge(samples));
+            prof.merge(&search);
+            profiles.push((prof, references.len(), queries));
+        }
+    }
+    profiles
 }
 
 #[cfg(test)]

@@ -118,22 +118,13 @@ pub(crate) fn extract_samples_strided(
     assert!(stride > 0, "stride must be positive");
     let mut raw: Vec<Vec<f32>> = Vec::new();
     for img in images {
-        let px = (img.width().saturating_sub(PATCH)) / stride + 1;
-        let py = (img.height().saturating_sub(PATCH)) / stride + 1;
-        for cy in 0..py {
-            for cx in 0..px {
-                raw.push(patch_features(img, cx * stride, cy * stride, prof));
-            }
-        }
+        push_patches(img, stride, &mut raw, prof);
     }
     // Median gradient energy defines the class boundary.
     let mut energies: Vec<f32> = raw.iter().map(|f| f[2]).collect();
     energies.sort_by(f32::total_cmp);
     let median = energies[energies.len() / 2];
-    prof.count(
-        InstrClass::Alu,
-        (energies.len() as f64 * (energies.len().max(2) as f64).log2()) as u64,
-    );
+    prof.count(InstrClass::Alu, median_sort_charge(energies.len()));
 
     raw.into_iter()
         .map(|features| {
@@ -141,6 +132,28 @@ pub(crate) fn extract_samples_strided(
             Sample { features, label }
         })
         .collect()
+}
+
+/// Appends the features of `img`'s patches at `stride`, row by row.
+pub(crate) fn push_patches(
+    img: &GrayImage,
+    stride: usize,
+    out: &mut Vec<Vec<f32>>,
+    prof: &mut Profiler,
+) {
+    let px = (img.width().saturating_sub(PATCH)) / stride + 1;
+    let py = (img.height().saturating_sub(PATCH)) / stride + 1;
+    for cy in 0..py {
+        for cx in 0..px {
+            out.push(patch_features(img, cx * stride, cy * stride, prof));
+        }
+    }
+}
+
+/// The ALU instructions charged for sorting `n` gradient energies to find
+/// their median.
+pub(crate) fn median_sort_charge(n: usize) -> u64 {
+    (n as f64 * (n.max(2) as f64).log2()) as u64
 }
 
 /// Trains a linear SVM with Pegasos-style SGD on the hinge loss.

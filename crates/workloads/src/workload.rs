@@ -146,9 +146,12 @@ fn pass_sizes(batch_size: &usize) -> &[usize] {
 /// Profiles `benchmark` at each of the ascending `sizes` in one pass over
 /// its image sequence, synthesizing every image once.
 ///
-/// KNN labels its samples against the whole batch's median gradient
-/// energy, and SVM and ObjRec train on the whole batch, so those three
-/// rerun their kernel over the shared prefix at each size. The other six
+/// SVM and ObjRec train on the whole batch, so they rerun their kernel
+/// over the shared prefix at each size. KNN labels its samples against the
+/// whole batch's median, but its counts read no label: from
+/// [`knn::SHARED_REFERENCES_FROM`] images on, every size shares one
+/// reference set, and one pass over the images yields every size's counts
+/// ([`knn::profile_prefixes`]); smaller sizes rerun. The other six
 /// work image by image: a batch's counts are the sum of its images', so
 /// one running total serves every size and each image is dropped once
 /// counted. ORB also matches consecutive images, so it keeps the previous
@@ -156,6 +159,20 @@ fn pass_sizes(batch_size: &usize) -> &[usize] {
 fn profile_pass(benchmark: Benchmark, sizes: &[usize]) -> Vec<KernelProfile> {
     debug_assert!(sizes.windows(2).all(|w| w[0] < w[1]), "ascending sizes");
     let mut images = ImageSynthesizer::new(benchmark.seed()).images();
+    if benchmark == Benchmark::Knn && sizes[0] >= knn::SHARED_REFERENCES_FROM {
+        return knn::profile_prefixes(images, sizes)
+            .into_iter()
+            .zip(sizes)
+            .map(|((prof, references, queries), &n)| {
+                let totals = Totals {
+                    references: references as u64,
+                    queries: queries as u64,
+                    ..Totals::default()
+                };
+                build(benchmark, prof, totals, n)
+            })
+            .collect();
+    }
     if matches!(
         benchmark,
         Benchmark::Knn | Benchmark::Svm | Benchmark::ObjRec

@@ -61,7 +61,11 @@ echo "== wire protocol: frame codec + sharding isolation (bounded at 300s) =="
 # one request path: a text line and a binary `Line` frame get the same
 # reply bytes, and every id a verb names is scoped to its connection,
 # so no client can cancel or consume the outcome of another's request.
+# A text line longer than the frame body bound gets one typed error and
+# a clean close, so a client that never sends a newline cannot grow the
+# server's memory.
 timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
+  server::tests::an_overlong_text_line_gets_one_error_then_eof \
   frame::prop_tests::round_trip_is_identity \
   frame::prop_tests::mutated_frames_fail_typed_never_panic \
   server::tests::malformed_binary_bodies_get_an_error_frame_and_the_connection_survives \
@@ -203,8 +207,13 @@ echo "== cold path: one profiling pass per benchmark (bounded at 300s) =="
 # the pass must equal a whole-batch run bit for bit for every benchmark
 # at the paper sizes and at 1..=64, concurrent misses on one pass must
 # share a single run, and the profiles and Fig. 4's LOOCV mean must keep
-# the bits pinned from the whole-batch profiler.
+# the bits pinned from the whole-batch profiler. The synthesizer's
+# table-driven texture and the blur's slice paths must equal their
+# per-pixel and every-tap-clamped references byte for byte.
 timeout 300 cargo test -q -p bagpred-workloads --lib -- --exact \
+  image::tests::synthesize_matches_the_per_pixel_reference \
+  image::tests::synthesize_matches_the_per_pixel_reference_at_odd_sizes \
+  ops::tests::blur_is_bit_identical_to_the_clamped_reference \
   image::tests::batches_are_prefixes_of_larger_batches \
   workload::tests::one_pass_matches_whole_batch_runs_at_every_size \
   workload::tests::concurrent_first_callers_share_one_computation
