@@ -269,7 +269,7 @@ fn hedge_p99_us(registry: &Arc<ModelRegistry>, hedged: bool, requests_per_client
 /// an id that already completed, timing the `cancel` frame and its
 /// `ok cancel=late` reply. The completed-id path is stateless on the
 /// server, so the loop measures a stable fixed cost rather than
-/// mutating the cancel registry.
+/// mutating the request ledger.
 fn cancel_roundtrip_us(registry: &Arc<ModelRegistry>, cancels: usize) -> f64 {
     let service = PredictionService::start(
         Arc::clone(registry),

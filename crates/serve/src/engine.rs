@@ -56,7 +56,7 @@ use bagpred_core::nbag::{NBag, NBagMeasurement, MAX_BAG};
 use bagpred_core::{Bag, Measurement, Platforms};
 use bagpred_obs::{EventLog, SlowEvent, Stage, StageSet, Trace};
 use bagpred_workloads::Workload;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -384,262 +384,168 @@ impl ReplySink {
     }
 }
 
-/// One served prediction awaiting the client's outcome report.
-struct PendingPrediction {
-    id: u64,
+/// A served prediction as its outcome join needs it: the model that
+/// priced the request and the price, in whole microseconds.
+pub(crate) struct Priced {
     model: String,
     predicted_us: u64,
-    at: Instant,
 }
 
-/// Bounded, TTL-evicted ring of served predictions keyed by the binary
-/// protocol's client-assigned request id. `observe` reports join here.
-/// Insertion order is arrival order, so both eviction policies pop from
-/// the front: expired entries first, then the oldest entry when the
-/// ring is full. Every unmatched eviction is counted by the caller —
-/// the ring never errors and never blocks the serving path beyond one
-/// short mutex hold.
-struct PendingOutcomes {
+/// One tagged job between enqueue and finish.
+struct Flight {
+    /// A `cancel` asked for the job to be dropped at dequeue.
+    cancel_requested: bool,
+    /// The linked attempt of a hedge pair, and whether it has already
+    /// served.
+    link: Option<(u64, bool)>,
+}
+
+/// Every piece of per-request state the engine keeps for tagged
+/// (client-id) jobs, behind one lock. Sans-IO: the methods take the
+/// clock as an argument and return eviction counts for the caller to
+/// add to [`OutcomeCounters`].
+///
+/// Two bounded parts, because an `observe` job runs in flight under the
+/// very id whose prediction it reports on:
+/// - **in flight**: each tagged job from enqueue to finish, bounded by
+///   the shard queues. It holds the cancel state and the hedge link, so
+///   a link dies with the jobs it joins;
+/// - **outcome ring**: served predictions awaiting their `observe`,
+///   oldest first, bounded by `capacity` and `ttl`. Every unmatched
+///   eviction is counted as expired.
+pub(crate) struct RequestLedger {
+    flights: HashMap<u64, Flight>,
+    ring: VecDeque<(u64, Instant, Priced)>,
     capacity: usize,
     ttl: Duration,
-    entries: Mutex<VecDeque<PendingPrediction>>,
 }
 
-impl PendingOutcomes {
-    fn new(capacity: usize, ttl: Duration) -> Self {
+impl RequestLedger {
+    pub(crate) fn new(capacity: usize, ttl: Duration) -> Self {
         Self {
+            flights: HashMap::new(),
+            ring: VecDeque::new(),
             capacity,
             ttl,
-            entries: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Drops entries older than the TTL off the front; returns how many.
-    fn sweep(&self, entries: &mut VecDeque<PendingPrediction>, now: Instant) -> u64 {
-        let mut evicted = 0;
-        while let Some(front) = entries.front() {
-            if now.duration_since(front.at) <= self.ttl {
-                break;
+    /// Registers a tagged job before its push, so a cancel can never
+    /// slip between a queued job and its registration. A hedge links to
+    /// its primary when the primary is in flight and unpaired; when the
+    /// primary already finished (its reply was on the wire as the client
+    /// fired the hedge), the hedge starts pre-served, so its own serve
+    /// is deduplicated.
+    pub(crate) fn admit(&mut self, id: u64, hedge_of: Option<u64>) {
+        let mut link = None;
+        if let Some(primary) = hedge_of.filter(|&primary| primary != id) {
+            match self.flights.get_mut(&primary) {
+                None => link = Some((primary, true)),
+                Some(flight) if flight.link.is_none() => {
+                    flight.link = Some((id, false));
+                    link = Some((primary, false));
+                }
+                Some(_) => {}
             }
-            entries.pop_front();
-            evicted += 1;
         }
-        evicted
+        self.flights.insert(
+            id,
+            Flight {
+                cancel_requested: false,
+                link,
+            },
+        );
     }
 
-    /// Records a served prediction. Returns the number of entries
-    /// evicted unmatched (TTL expiry plus capacity overflow) so the
-    /// caller can count them. With capacity 0 tracking is disabled and
-    /// the prediction itself counts as immediately expired.
-    fn record(&self, id: u64, model: &str, predicted_us: u64) -> u64 {
+    /// Requests cancellation. True (`pending`) when the job is in flight
+    /// and not yet cancelled: it is dropped at dequeue or, if a worker
+    /// already picked it up, completes normally (the client discards
+    /// the reply either way). Anything else is `late`.
+    pub(crate) fn cancel(&mut self, id: u64) -> bool {
+        match self.flights.get_mut(&id) {
+            Some(flight) if !flight.cancel_requested => {
+                flight.cancel_requested = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The worker's check at dequeue: was the job cancelled while it
+    /// waited?
+    pub(crate) fn cancelled(&self, id: u64) -> bool {
+        self.flights.get(&id).is_some_and(|f| f.cancel_requested)
+    }
+
+    /// Retires a finished job or a shed push. `served` is the prediction
+    /// a successful predict served, `None` for an error or any other
+    /// reply. Returns whether the serve was the second of a hedge pair,
+    /// which the client already has a winner for and which per-model
+    /// stats and the outcome ring skip, and how many predictions the
+    /// ring evicted unmatched. A serve marks the linked partner as
+    /// served; any other finish dissolves the link, so the survivor
+    /// counts in full.
+    pub(crate) fn finish(&mut self, id: u64, served: Option<Priced>, now: Instant) -> (bool, u64) {
+        if let Some((partner, partner_served)) = self.flights.remove(&id).and_then(|f| f.link) {
+            if served.is_some() && partner_served {
+                return (true, 0);
+            }
+            if let Some(flight) = self.flights.get_mut(&partner) {
+                if flight.link.is_some_and(|(linked, _)| linked == id) {
+                    flight.link = served.is_some().then_some((id, true));
+                }
+            }
+        }
+        match served {
+            Some(priced) => (false, self.record(id, priced, now)),
+            None => (false, 0),
+        }
+    }
+
+    /// Appends a served prediction to the ring; returns the entries
+    /// evicted unmatched. With capacity 0 tracking is off and the
+    /// prediction itself counts as expired at once.
+    fn record(&mut self, id: u64, priced: Priced, now: Instant) -> u64 {
         if self.capacity == 0 {
             return 1;
         }
-        let now = Instant::now();
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut evicted = self.sweep(&mut entries, now);
-        if entries.len() >= self.capacity {
-            entries.pop_front();
+        let mut evicted = self.sweep(now);
+        if self.ring.len() >= self.capacity {
+            self.ring.pop_front();
             evicted += 1;
         }
-        entries.push_back(PendingPrediction {
-            id,
-            model: model.to_string(),
-            predicted_us,
-            at: now,
-        });
+        self.ring.push_back((id, now, priced));
         evicted
     }
 
-    /// Consumes the oldest pending prediction with this id. Returns the
-    /// entry (if any) and the number of entries TTL-evicted during the
-    /// lookup. A second `observe` for the same id finds nothing and is
-    /// counted as orphaned by the caller.
-    fn take(&self, id: u64) -> (Option<PendingPrediction>, u64) {
-        let now = Instant::now();
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        let evicted = self.sweep(&mut entries, now);
-        let entry = entries
-            .iter()
-            .position(|p| p.id == id)
-            .and_then(|at| entries.remove(at));
-        (entry, evicted)
+    /// Consumes the oldest pending prediction with this id, returning it
+    /// (if any) and the entries the TTL evicted on the way. A second
+    /// `observe` for the same id finds nothing and is orphaned.
+    pub(crate) fn take(&mut self, id: u64, now: Instant) -> (Option<Priced>, u64) {
+        let evicted = self.sweep(now);
+        let at = self.ring.iter().position(|(pending, _, _)| *pending == id);
+        let entry = at.and_then(|at| self.ring.remove(at));
+        (entry.map(|(_, _, priced)| priced), evicted)
     }
 
-    /// Predictions currently awaiting an outcome (expired ones still in
-    /// the ring are swept lazily, so this is an upper bound).
-    fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-}
-
-/// In-flight and cancel-requested request ids. Every tagged job
-/// registers at enqueue and completes at finish, so both sets are
-/// self-cleaning: an id lives here exactly as long as its job does.
-#[derive(Default)]
-struct CancelState {
-    inflight: HashSet<u64>,
-    cancelled: HashSet<u64>,
-}
-
-/// The server side of `cancel id=<req>`: a cancel for a registered
-/// (still in-flight) id moves it to the cancelled set and workers drop
-/// it at dequeue; a cancel for anything else is `late`. One short mutex
-/// hold per operation, never on the predict path itself.
-struct CancelRegistry {
-    state: Mutex<CancelState>,
-}
-
-impl CancelRegistry {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(CancelState::default()),
-        }
+    /// Predictions still awaiting an outcome: those younger than the
+    /// TTL. Evicts nothing, so reading the gauge changes no counter.
+    pub(crate) fn pending(&self, now: Instant) -> usize {
+        let live = |at: &Instant| now.duration_since(*at) <= self.ttl;
+        self.ring.iter().filter(|(_, at, _)| live(at)).count()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CancelState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Registers a tagged job at enqueue time.
-    fn register(&self, id: u64) {
-        self.lock().inflight.insert(id);
-    }
-
-    /// Rolls back a registration whose push was shed.
-    fn unregister(&self, id: u64) {
-        let mut state = self.lock();
-        state.inflight.remove(&id);
-        state.cancelled.remove(&id);
-    }
-
-    /// Requests cancellation. Returns true (`pending`) when the target
-    /// was still in flight — it will be dropped at dequeue, or, if a
-    /// worker already picked it up, complete normally (the cancel
-    /// raced the pickup; the client discards the reply either way).
-    fn request_cancel(&self, id: u64) -> bool {
-        let mut state = self.lock();
-        if state.inflight.remove(&id) {
-            state.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Worker-side check at dequeue: consumes a pending cancellation.
-    fn take_cancelled(&self, id: u64) -> bool {
-        self.lock().cancelled.remove(&id)
-    }
-
-    /// True while the id's job has not finished (queued or running,
-    /// cancel-requested or not).
-    fn is_inflight(&self, id: u64) -> bool {
-        let state = self.lock();
-        state.inflight.contains(&id) || state.cancelled.contains(&id)
-    }
-
-    /// Drops all trace of a finished job's id.
-    fn complete(&self, id: u64) {
-        let mut state = self.lock();
-        state.inflight.remove(&id);
-        state.cancelled.remove(&id);
-    }
-}
-
-/// How a finishing served prediction relates to a hedge pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HedgeRole {
-    /// Not part of any linked pair: full accounting.
-    Unpaired,
-    /// The pair's first successful serve: full accounting.
-    First,
-    /// The pair's second successful serve: the client already took the
-    /// winner, so per-model stats and the outcome ring skip this one.
-    Deduped,
-}
-
-/// One linked hedge pair, keyed by either attempt id.
-struct HedgePair {
-    primary: u64,
-    hedge: u64,
-    /// Id of the first attempt to serve successfully, once one has.
-    served: Option<u64>,
-}
-
-/// Links hedge attempts to their primaries so the engine counts each
-/// logical request's successful serve exactly once. FIFO-bounded:
-/// pairs whose loser never finishes (shed hedges, torn connections)
-/// age out instead of leaking.
-struct HedgeLedger {
-    capacity: usize,
-    pairs: Mutex<VecDeque<HedgePair>>,
-}
-
-impl HedgeLedger {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            pairs: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<HedgePair>> {
-        self.pairs.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Links a hedge to its primary at hedge enqueue. `primary_done`
-    /// covers the race where the primary's reply was already in flight
-    /// when the client fired the hedge: the pair starts pre-served so
-    /// the hedge's own serve is deduplicated.
-    fn link(&self, primary: u64, hedge: u64, primary_done: bool) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut pairs = self.lock();
-        if pairs.len() >= self.capacity {
-            pairs.pop_front();
-        }
-        pairs.push_back(HedgePair {
-            primary,
-            hedge,
-            served: primary_done.then_some(primary),
-        });
-    }
-
-    /// Rolls back a link whose hedge push was shed.
-    fn unlink(&self, hedge: u64) {
-        self.lock().retain(|p| p.hedge != hedge);
-    }
-
-    /// Classifies a successful serve. The second serve of a pair
-    /// removes it — both sides are done.
-    fn on_served(&self, id: u64) -> HedgeRole {
-        let mut pairs = self.lock();
-        let Some(at) = pairs.iter().position(|p| p.primary == id || p.hedge == id) else {
-            return HedgeRole::Unpaired;
-        };
-        match pairs[at].served {
-            None => {
-                pairs[at].served = Some(id);
-                HedgeRole::First
+    /// Drops entries older than the TTL off the front; returns how many.
+    fn sweep(&mut self, now: Instant) -> u64 {
+        let mut evicted = 0;
+        while let Some((_, at, _)) = self.ring.front() {
+            if now.duration_since(*at) <= self.ttl {
+                break;
             }
-            Some(winner) if winner == id => HedgeRole::First,
-            Some(_) => {
-                pairs.remove(at);
-                HedgeRole::Deduped
-            }
+            self.ring.pop_front();
+            evicted += 1;
         }
-    }
-
-    /// A failed (or cancelled) attempt dissolves its pair: the
-    /// surviving side — if it serves at all — is a genuine serve and
-    /// gets full accounting.
-    fn on_failed(&self, id: u64) {
-        self.lock().retain(|p| p.primary != id && p.hedge != id);
+        evicted
     }
 }
 
@@ -680,12 +586,9 @@ pub(crate) struct Inner {
     pub(crate) events: EventLog,
     pub(crate) robust: RobustnessCounters,
     pub(crate) health: ModelHealth,
-    /// Served predictions awaiting the client's `observe` report.
-    pending: PendingOutcomes,
-    /// In-flight ids and pending cancellations (`cancel id=<req>`).
-    cancels: CancelRegistry,
-    /// Hedge pairs awaiting their first successful serve.
-    hedges: HedgeLedger,
+    /// Tagged jobs in flight (cancel state, hedge links) and served
+    /// predictions awaiting the client's `observe` report.
+    ledger: Mutex<RequestLedger>,
     /// Outcome-join accounting (matched / orphaned / expired / alarms).
     pub(crate) outcomes: OutcomeCounters,
     /// Per-model online residual windows and drift detectors.
@@ -713,9 +616,14 @@ impl Inner {
         Arc::clone(&self.control)
     }
 
+    fn ledger(&self) -> std::sync::MutexGuard<'_, RequestLedger> {
+        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Predictions currently awaiting their outcome report.
     pub(crate) fn pending_outcomes(&self) -> usize {
-        self.pending.len()
+        let now = Instant::now();
+        self.ledger().pending(now)
     }
 
     /// Per-shard snapshots: control first, then model shards by name.
@@ -806,11 +714,10 @@ impl PredictionService {
             events: EventLog::new(config.event_log_capacity),
             robust: RobustnessCounters::default(),
             health: ModelHealth::new(),
-            pending: PendingOutcomes::new(config.outcome_capacity, config.outcome_ttl),
-            cancels: CancelRegistry::new(),
-            // Sized like the outcome ring: one queue's worth of hedge
-            // pairs per model with margin; stale pairs age out FIFO.
-            hedges: HedgeLedger::new(1024),
+            ledger: Mutex::new(RequestLedger::new(
+                config.outcome_capacity,
+                config.outcome_ttl,
+            )),
             outcomes: OutcomeCounters::default(),
             trackers: OutcomeTrackers::new(config.drift_delta, config.drift_lambda),
             config,
@@ -905,15 +812,9 @@ impl PredictionService {
                 }
             }
         }
-        // Register before the push so a cancel can never slip between a
-        // queued job and its registration; shed pushes roll back.
+        // Admit before the push; a shed push rolls back.
         if let Some(id) = tx.tag() {
-            self.inner.cancels.register(id);
-            if let Some(primary) = hedge_of {
-                self.inner
-                    .hedges
-                    .link(primary, id, !self.inner.cancels.is_inflight(primary));
-            }
+            self.inner.ledger().admit(id, hedge_of);
         }
         let job = Job {
             request,
@@ -928,10 +829,8 @@ impl PredictionService {
             Ok(()) => Ok(()),
             Err(job) => {
                 if let Some(id) = job.tx.tag() {
-                    self.inner.cancels.unregister(id);
-                    if hedge_of.is_some() {
-                        self.inner.hedges.unlink(id);
-                    }
+                    let now = Instant::now();
+                    self.inner.ledger().finish(id, None, now);
                 }
                 self.inner.metrics.shed.inc();
                 Err(ServeError::Overloaded)
@@ -1118,7 +1017,7 @@ fn do_cancel(inner: &Inner, id: u64) -> bool {
     if let Some(delay) = inner.config.faults.fire_delay(FaultSite::CancelRace, None) {
         thread::sleep(delay);
     }
-    let pending = inner.cancels.request_cancel(id);
+    let pending = inner.ledger().cancel(id);
     if !pending {
         inner.robust.cancel_late.inc();
     }
@@ -1146,25 +1045,27 @@ fn worker_loop(inner: &Inner, shard: &Shard<Job>) {
 /// histograms, captures a slow request when it crosses the threshold,
 /// and sends the outcome.
 fn finish(inner: &Inner, model: Option<&str>, job: Job, outcome: Outcome) {
-    // The job is done: a cancel from here on is `late`.
-    if let Some(id) = job.tx.tag() {
-        inner.cancels.complete(id);
-    }
-    // Hedge dedup: the second successful serve of a linked pair is a
-    // duplicate the client will discard — it stays out of per-model
-    // stats and the outcome ring (global counters still see it, so
-    // conservation holds). A failed attempt dissolves its pair so the
-    // surviving side gets full accounting.
-    let deduped = match (job.tx.tag(), &outcome) {
-        (Some(id), Ok(Reply::Prediction { .. })) => {
-            matches!(inner.hedges.on_served(id), HedgeRole::Deduped)
-        }
-        (Some(id), Err(_)) => {
-            inner.hedges.on_failed(id);
-            false
-        }
-        _ => false,
-    };
+    // The job is done: a cancel from here on is `late`. A successful
+    // tagged predict is recorded for outcome joining: the client's
+    // request id is the key a later `observe` uses (direct in-process
+    // submitters have no id to join on). Hedge dedup: the second serve
+    // of a linked pair is a duplicate the client will discard, so it
+    // stays out of per-model stats and the outcome ring (its report
+    // joins as orphaned); global counters still see it, so conservation
+    // holds.
+    let deduped = job.tx.tag().is_some_and(|id| {
+        let served = match &outcome {
+            Ok(Reply::Prediction { model, predicted_s }) => Some(Priced {
+                model: model.clone(),
+                predicted_us: predicted_micros(*predicted_s),
+            }),
+            _ => None,
+        };
+        let now = Instant::now();
+        let (deduped, expired) = inner.ledger().finish(id, served, now);
+        inner.outcomes.expired.add(expired);
+        deduped
+    });
     if deduped {
         inner.robust.hedge_deduped.inc();
     }
@@ -1190,20 +1091,6 @@ fn finish(inner: &Inner, model: Option<&str>, job: Job, outcome: Outcome) {
             summary.push_str(&format!(" tc={context}"));
         }
         inner.events.record(summary, &job.trace, total);
-    }
-    // Register successful tagged predictions for outcome joining: the
-    // client-assigned request id is the key a later `observe` uses.
-    // Direct (in-process) submitters have no id the engine could join
-    // on, so only the wire paths participate. Deduplicated hedge
-    // losers stay out: their outcome report joins as orphaned instead
-    // of double-feeding the residual window.
-    if !deduped {
-        if let (Some(id), Ok(Reply::Prediction { model, predicted_s })) = (job.tx.tag(), &outcome) {
-            let expired = inner
-                .pending
-                .record(id, model, predicted_micros(*predicted_s));
-            inner.outcomes.expired.add(expired);
-        }
     }
     job.tx.send(outcome);
 }
@@ -1280,11 +1167,7 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
         // Same for cancelled work: the client (usually a hedging one
         // whose other attempt already won) is not waiting for this
         // reply, so drop it before predict spends anything on it.
-        if job
-            .tx
-            .tag()
-            .is_some_and(|id| inner.cancels.take_cancelled(id))
-        {
+        if job.tx.tag().is_some_and(|id| inner.ledger().cancelled(id)) {
             inner.robust.cancelled.inc();
             shard.counters().shed.inc();
             finish(inner, None, job, Err(ServeError::Cancelled));
@@ -1625,7 +1508,8 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
         ),
         Request::Trace => (None, Ok(Reply::Traces(inner.events.dump()))),
         Request::Observe { id, actual_us } => {
-            let (entry, expired) = inner.pending.take(*id);
+            let now = Instant::now();
+            let (entry, expired) = inner.ledger().take(*id, now);
             inner.outcomes.expired.add(expired);
             let Some(pending) = entry else {
                 inner.outcomes.orphaned.inc();
@@ -2736,6 +2620,14 @@ mod tests {
         );
         let us = tagged_predict_us(&service, 4);
         std::thread::sleep(Duration::from_millis(2));
+        let Ok(Reply::Stats(stats)) = service.call(Request::Stats { model: None }) else {
+            panic!("stats failed")
+        };
+        assert_eq!(
+            stats.count("outcomes_pending"),
+            0,
+            "an expired entry is not pending"
+        );
         assert!(!observe(&service, 4, us), "expired id is orphaned");
         assert_eq!(service.outcomes().expired.get(), 1);
         assert_eq!(service.outcomes().orphaned(), 1);
@@ -2923,7 +2815,7 @@ mod tests {
         assert_eq!(service.inner.robust.cancelled.get(), 1);
         assert_eq!(service.inner.robust.cancel_late.get(), 0);
         // The dropped job never registered a pending prediction.
-        assert_eq!(service.inner.pending.len(), 0);
+        assert_eq!(service.inner.pending_outcomes(), 0);
         // Conservation: every received request was answered.
         let snap = service.metrics().snapshot();
         assert_eq!(snap.received, snap.succeeded + snap.failed);
@@ -2995,7 +2887,7 @@ mod tests {
         assert_eq!(service.inner.robust.hedge_deduped.get(), 1);
         // Only the winner joined the outcome ring; the loser's report
         // is orphaned, never double-feeding the residual window.
-        assert_eq!(service.inner.pending.len(), 1);
+        assert_eq!(service.inner.pending_outcomes(), 1);
         assert!(observe(&service, 11, 1_000), "winner joins");
         assert!(!observe(&service, 12, 1_000), "loser orphaned");
         assert_eq!(service.outcomes().matched(), 1);
@@ -3054,7 +2946,45 @@ mod tests {
         assert_eq!(service.inner.robust.hedge_deduped.get(), 0);
         assert_eq!(service.inner.robust.cancelled.get(), 1);
         // Only the hedge (tagged and served) is awaiting its outcome.
-        assert_eq!(service.inner.pending.len(), 1);
+        assert_eq!(service.inner.pending_outcomes(), 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn hedge_dedup_holds_past_a_thousand_open_pairs() {
+        // More pairs open at once than any fixed cap on the ledger: all
+        // of them queue behind the pinned worker before any serves.
+        const PAIRS: u64 = 1025;
+        let service = pinnable_service(400, 4096);
+        let blocker = pin_worker(&service);
+        let predict = Request::Predict {
+            model: Some(PAIR_MODEL.into()),
+            apps: pair_apps(),
+        };
+        let (tx, rx) = mpsc::channel();
+        let primaries = (1..=PAIRS).map(|id| (id, None));
+        let hedges = (1..=PAIRS).map(|primary| (PAIRS + primary, Some(primary)));
+        for (id, hedge_of) in primaries.chain(hedges) {
+            let options = RequestOptions {
+                hedge_of,
+                ..RequestOptions::default()
+            };
+            service
+                .submit_tagged(predict.clone(), Trace::new(), options, id, tx.clone())
+                .expect("queues behind the blocker");
+        }
+        blocker.recv().expect("blocker finishes").expect("predicts");
+        for _ in 0..2 * PAIRS {
+            let (_, outcome) = rx.recv().expect("every attempt answers");
+            outcome.expect("every attempt predicts");
+        }
+        // Every primary serves before its hedge, so every hedge is its
+        // pair's second serve: per-model stats count each logical
+        // request once, plus the blocker.
+        assert_eq!(service.inner.robust.hedge_deduped.get(), PAIRS);
+        let snap = service.model_metrics().for_model(PAIR_MODEL).snapshot();
+        assert_eq!(snap.received, 1 + 2 * PAIRS);
+        assert_eq!(snap.succeeded, 1 + PAIRS);
         service.shutdown();
     }
 
@@ -3179,6 +3109,260 @@ mod tests {
                 // already picked the job up; it never over-counts.
                 prop_assert!(service.inner.robust.cancelled.get() <= pending_cancels);
                 service.shutdown();
+            }
+        }
+    }
+
+    mod ledger_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A hedge link: the partner's id and whether it has served.
+        type Link = Option<(u64, bool)>;
+
+        /// The reference for [`RequestLedger`]: vectors and linear
+        /// scans, one rule per answer.
+        struct Reference {
+            capacity: usize,
+            ttl: Duration,
+            /// In flight: id, cancel requested, linked partner and
+            /// whether the partner has served.
+            flights: Vec<(u64, bool, Link)>,
+            /// Served predictions, oldest first: id, recorded at, price.
+            ring: Vec<(u64, Instant, u64)>,
+        }
+
+        impl Reference {
+            fn find(&self, id: u64) -> Option<usize> {
+                self.flights.iter().position(|f| f.0 == id)
+            }
+
+            fn admit(&mut self, id: u64, hedge_of: Option<u64>) {
+                let mut link = None;
+                if let Some(primary) = hedge_of.filter(|&p| p != id) {
+                    match self.find(primary) {
+                        // The primary already finished: pre-served.
+                        None => link = Some((primary, true)),
+                        Some(at) if self.flights[at].2.is_none() => {
+                            self.flights[at].2 = Some((id, false));
+                            link = Some((primary, false));
+                        }
+                        // Already paired: this attempt counts alone.
+                        Some(_) => {}
+                    }
+                }
+                self.flights.retain(|f| f.0 != id);
+                self.flights.push((id, false, link));
+            }
+
+            fn cancel(&mut self, id: u64) -> bool {
+                match self.find(id) {
+                    Some(at) if !self.flights[at].1 => {
+                        self.flights[at].1 = true;
+                        true
+                    }
+                    _ => false,
+                }
+            }
+
+            fn cancelled(&self, id: u64) -> bool {
+                self.find(id).is_some_and(|at| self.flights[at].1)
+            }
+
+            /// `price` is `Some` for a served prediction, `None` for a
+            /// failure, a shed or any other reply.
+            fn finish(&mut self, id: u64, price: Option<u64>, now: Instant) -> (bool, u64) {
+                let link = self.find(id).and_then(|at| self.flights.remove(at).2);
+                if let Some((partner, partner_served)) = link {
+                    if price.is_some() && partner_served {
+                        return (true, 0);
+                    }
+                    for flight in &mut self.flights {
+                        if flight.0 == partner && flight.2.is_some_and(|(p, _)| p == id) {
+                            flight.2 = price.map(|_| (id, true));
+                        }
+                    }
+                }
+                let Some(price) = price else {
+                    return (false, 0);
+                };
+                if self.capacity == 0 {
+                    return (false, 1);
+                }
+                let mut evicted = self.expire(now);
+                if self.ring.len() >= self.capacity {
+                    self.ring.remove(0);
+                    evicted += 1;
+                }
+                self.ring.push((id, now, price));
+                (false, evicted)
+            }
+
+            fn expire(&mut self, now: Instant) -> u64 {
+                let before = self.ring.len();
+                self.ring.retain(|e| now - e.1 <= self.ttl);
+                (before - self.ring.len()) as u64
+            }
+
+            fn take(&mut self, id: u64, now: Instant) -> (Option<u64>, u64) {
+                let evicted = self.expire(now);
+                let at = self.ring.iter().position(|e| e.0 == id);
+                (at.map(|at| self.ring.remove(at).2), evicted)
+            }
+
+            fn pending(&self, now: Instant) -> usize {
+                self.ring.iter().filter(|e| now - e.1 <= self.ttl).count()
+            }
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Admit {
+                id: u64,
+                hedge_of: Option<u64>,
+            },
+            /// Admit, then roll back: the push was shed.
+            Shed {
+                id: u64,
+                hedge_of: Option<u64>,
+            },
+            Dequeue(u64),
+            Serve(u64),
+            Fail(u64),
+            Cancel(u64),
+            /// `tagged`: the observe itself runs in flight under the id
+            /// it reports on, as a binary `Outcome` frame does.
+            Observe {
+                id: u64,
+                tagged: bool,
+            },
+            AdvanceMs(u64),
+        }
+
+        impl Op {
+            /// One generated word as an op over a three-id pool, so ids
+            /// repeat, hedges find their primaries, and reports find
+            /// (or miss) their predictions. Admits and serves are
+            /// weighted up so hedge pairs form, finish and re-form.
+            fn decode(word: u64) -> Op {
+                let id = (word >> 8) % 3;
+                let other = (word >> 16) % 4;
+                let hedge_of = (other < 3).then_some(other);
+                match word % 16 {
+                    0..=3 => Op::Admit { id, hedge_of },
+                    4 => Op::Shed { id, hedge_of },
+                    5 => Op::Dequeue(id),
+                    6..=8 => Op::Serve(id),
+                    9 | 10 => Op::Fail(id),
+                    11 => Op::Cancel(id),
+                    12 | 13 => Op::Observe {
+                        id,
+                        tagged: word >> 63 == 1,
+                    },
+                    _ => Op::AdvanceMs(other + 1),
+                }
+            }
+        }
+
+        /// Applies `ops` to a ledger and the reference side by side,
+        /// comparing every answer (eviction counts included) and the
+        /// pending gauge after every step.
+        fn check(capacity: usize, ttl: Duration, ops: &[Op]) -> Result<(), String> {
+            let mut now = Instant::now();
+            let mut ledger = RequestLedger::new(capacity, ttl);
+            let mut model = Reference {
+                capacity,
+                ttl,
+                flights: Vec::new(),
+                ring: Vec::new(),
+            };
+            let priced = |price: u64| Priced {
+                model: PAIR_MODEL.into(),
+                predicted_us: price,
+            };
+            let took =
+                |(entry, evicted): (Option<Priced>, u64)| (entry.map(|p| p.predicted_us), evicted);
+            for (step, &op) in ops.iter().enumerate() {
+                let price = step as u64 + 1;
+                let (got, want) = match op {
+                    Op::Admit { id, hedge_of } => {
+                        ledger.admit(id, hedge_of);
+                        model.admit(id, hedge_of);
+                        (String::new(), String::new())
+                    }
+                    Op::Shed { id, hedge_of } => {
+                        ledger.admit(id, hedge_of);
+                        model.admit(id, hedge_of);
+                        let got = ledger.finish(id, None, now);
+                        let want = model.finish(id, None, now);
+                        (format!("{got:?}"), format!("{want:?}"))
+                    }
+                    Op::Dequeue(id) => (
+                        format!("{:?}", ledger.cancelled(id)),
+                        format!("{:?}", model.cancelled(id)),
+                    ),
+                    Op::Serve(id) => {
+                        let got = ledger.finish(id, Some(priced(price)), now);
+                        let want = model.finish(id, Some(price), now);
+                        (format!("{got:?}"), format!("{want:?}"))
+                    }
+                    Op::Fail(id) => (
+                        format!("{:?}", ledger.finish(id, None, now)),
+                        format!("{:?}", model.finish(id, None, now)),
+                    ),
+                    Op::Cancel(id) => (
+                        format!("{:?}", ledger.cancel(id)),
+                        format!("{:?}", model.cancel(id)),
+                    ),
+                    Op::Observe { id, tagged } => {
+                        if tagged {
+                            ledger.admit(id, None);
+                            model.admit(id, None);
+                        }
+                        let got = took(ledger.take(id, now));
+                        let want = model.take(id, now);
+                        // A tagged observe then retires its own entry.
+                        let got_done = tagged.then(|| ledger.finish(id, None, now));
+                        let want_done = tagged.then(|| model.finish(id, None, now));
+                        (
+                            format!("{got:?} {got_done:?}"),
+                            format!("{want:?} {want_done:?}"),
+                        )
+                    }
+                    Op::AdvanceMs(ms) => {
+                        now += Duration::from_millis(ms);
+                        (String::new(), String::new())
+                    }
+                };
+                let (got_pending, want_pending) = (ledger.pending(now), model.pending(now));
+                if got != want || got_pending != want_pending {
+                    return Err(format!(
+                        "capacity={capacity} ttl={ttl:?} step {step} {op:?}: ledger {got} \
+                         pending={got_pending}, reference {want} pending={want_pending}\n\
+                         ops: {ops:?}"
+                    ));
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+            /// The ledger agrees with the reference on every answer of
+            /// every generated op sequence: tracking off (capacity 0),
+            /// a ring smaller than the open requests (capacity 2), and
+            /// a TTL shorter than some clock steps (3 ms against steps
+            /// of 1-4 ms). No shrinking: a failure prints the case
+            /// index and the whole op list.
+            #[test]
+            fn ledger_matches_the_reference_model(
+                words in proptest::collection::vec(any::<u64>(), 1..100)
+            ) {
+                let ops: Vec<Op> = words.into_iter().map(Op::decode).collect();
+                let minute = Duration::from_secs(60);
+                for (capacity, ttl) in [(0, minute), (2, minute), (4, Duration::from_millis(3))] {
+                    check(capacity, ttl, &ops)?;
+                }
             }
         }
     }

@@ -380,7 +380,7 @@ pub struct RobustnessCounters {
     /// (or was never in flight) — answered `ok cancel=late`.
     pub cancel_late: Counter,
     /// Hedge attempts whose pair was already served: their stats and
-    /// pending-outcome registration were suppressed so the logical
+    /// outcome-ring entry were suppressed so the logical
     /// request counts exactly once.
     pub hedge_deduped: Counter,
     /// Requests shed at enqueue by a brownout watermark (queue under

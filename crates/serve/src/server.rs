@@ -553,8 +553,8 @@ const WIRE_ID_MASK: u64 = 0xFFFF_FFFF;
 
 /// Scopes a client-chosen wire id to its connection before it reaches
 /// the engine. Request ids only need to be unique *per connection* on
-/// the wire, but the engine's cancel registry, hedge ledger, and
-/// pending-outcome ring are global — without this, client A's
+/// the wire, but the engine's request ledger (in-flight cancel state,
+/// hedge links, outcome ring) is global — without this, client A's
 /// `cancel id=7` could drop client B's in-flight request 7 (every
 /// client counts from 1), and a guessed namespace would do the same.
 /// Replies strip the namespace back off.
@@ -729,10 +729,11 @@ fn is_timeout(err: &io::Error) -> bool {
 ///
 /// Where replies go is what differs. **Text** is answered on the reader
 /// thread, one request at a time, in request order: submissions are
-/// untagged (they never enter the cancel registry, hedge ledger, or
-/// pending-outcome ring), and the reader waits on a reply channel whose
-/// only sender the engine's job holds — so an engine shutdown that
-/// drops the job wakes it with `ShuttingDown`. **Binary** is multiplexed:
+/// untagged (they never enter the engine's request ledger, so they
+/// cannot be cancelled, hedged or joined by an outcome), and the reader
+/// waits on a reply channel whose only sender the engine's job holds —
+/// so an engine shutdown that drops the job wakes it with
+/// `ShuttingDown`. **Binary** is multiplexed:
 /// submissions are tagged with their connection-namespaced id and a
 /// dedicated writer thread forwards replies in *completion* order, so a
 /// slow request does not head-of-line-block the replies behind it. The

@@ -175,6 +175,19 @@ timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
   server::tests::binary_cancel_opcode_answers_inline_and_late_after_the_reply \
   metrics::tests::brownout_and_cancel_counters_track_per_class
 
+echo "== request ledger: reference model + uncapped hedge dedup (bounded at 300s) =="
+# The request ledger's invariants, run by name so they can never be
+# silently filtered out: every generated sequence of admits, hedges,
+# sheds, dequeues, serves, failures, cancels, observes and clock steps
+# must give the same answers and eviction counts as a reference model
+# of vectors and linear scans (exactly-once outcome join, including an
+# observe in flight under the id it reports on, and the cancel answers),
+# and hedge dedup must hold with more than a thousand pairs open at
+# once (no cap on open pairs).
+timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
+  engine::tests::ledger_model::ledger_matches_the_reference_model \
+  engine::tests::hedge_dedup_holds_past_a_thousand_open_pairs
+
 echo "== flat traversal: lane-walk bit-identity + edge cases (bounded at 300s) =="
 # The flat-tree traversal invariants, run by name so they can never be
 # silently filtered out: the 16-lane chunked walk must be bit-identical
