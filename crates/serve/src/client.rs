@@ -1,4 +1,4 @@
-//! A small line-protocol client with retry and jittered exponential
+//! A small binary-framed client with retry and jittered exponential
 //! backoff.
 //!
 //! The serve front-end sheds load explicitly (`err overloaded`) and
@@ -15,47 +15,47 @@
 //! first attempt — retrying a quarantined model or a malformed line
 //! only adds load.
 //!
-//! # Protocol negotiation
+//! # Wire
 //!
-//! By default the client offers the binary framing on every fresh
-//! connection: it sends the [`frame::HELLO_BINARY`] line and, if the
-//! server acknowledges with [`frame::HELLO_BINARY_OK`], switches the
-//! connection to length-prefixed frames ([`crate::frame`]) — requests
-//! still go in as text lines (wrapped in a `Line` frame), but replies
-//! skip a decimal round-trip: predictions come back as raw `f64` bits
-//! and are re-rendered with the same shortest-roundtrip formatter the
-//! server's text path uses, so the reply string is byte-identical
-//! either way. A server that answers anything else (an old text-only
-//! build replies `err ...`) leaves the connection on the line
-//! protocol; [`ClientConfig::prefer_binary`] turns the offer off
-//! entirely. Every attempt carries a client-assigned request id —
-//! surfaced in [`ClientError::Exhausted`] so a hedging caller can
-//! correlate giving-up with server-side traces.
+//! Every fresh connection sends the [`frame::HELLO_BINARY`] line and
+//! expects [`frame::HELLO_BINARY_OK`]; any other answer is an
+//! [`std::io::ErrorKind::InvalidData`] error, which the retry loop
+//! treats like any other I/O failure. From then on the connection
+//! carries length-prefixed frames ([`crate::frame`]): requests go in as
+//! text lines wrapped in a `Line` frame, and replies skip a decimal
+//! round-trip — predictions come back as raw `f64` bits and are
+//! re-rendered with the same shortest-roundtrip formatter the server's
+//! text path uses, so a reply string is byte-identical to what the text
+//! dialect would have sent. The length prefix carries multi-line
+//! replies (`metrics`, `trace`) intact.
 //!
-//! On the line protocol the client speaks single-line replies only;
-//! multi-line commands (`metrics`, `trace`) need a raw socket or the
-//! binary framing, whose length prefix carries them intact.
+//! Every frame carries a client-assigned request id. One loop sends a
+//! frame and reads until a reply names an id it is waiting for, skipping
+//! any other (a straggler from an I/O-timeout retry or a cancelled hedge
+//! loser). The id of the attempt that answered is kept as
+//! [`Client::last_request_id`], the join key for
+//! [`Client::report_outcome`], and every attempt's id is surfaced in
+//! [`ClientError::Exhausted`] so a caller can correlate giving up with
+//! server-side traces.
 //!
 //! # Hedged requests
 //!
-//! With [`ClientConfig::hedge`] on and a binary connection, the client
-//! keeps a rolling latency histogram and arms a timer at its p95
-//! estimate on every send: if the reply has not started arriving by
-//! then, a second copy of the request goes out tagged `hedge_of=` the
-//! first attempt's id — so the engine counts the pair's served attempt
-//! exactly once — and whichever reply lands first wins. The loser is
-//! cancelled server-side (fire-and-forget `Cancel` frame) and its
-//! straggling reply, if any, is drained as a stale id. A hedge inherits
-//! the *remaining* deadline: `deadline_ms=` in the line is rewritten to
-//! the budget left since the first attempt's send, and a hedge whose
-//! budget is already spent is not sent at all. Until
+//! With [`ClientConfig::hedge`] on, the client keeps a rolling latency
+//! histogram and arms a timer at its p95 estimate on every send: if the
+//! reply has not started arriving by then, a second copy of the request
+//! goes out tagged `hedge_of=` the first attempt's id — so the engine
+//! counts the pair's served attempt exactly once — and whichever reply
+//! lands first wins. The loser is cancelled server-side (fire-and-forget
+//! `Cancel` frame) and its straggling reply, if any, is skipped by id. A
+//! hedge inherits the *remaining* deadline: `deadline_ms=` in the line is
+//! rewritten to the budget left since the first attempt's send, and a
+//! hedge whose budget is already spent is not sent at all. Until
 //! [`ClientConfig::hedge_min_samples`] latencies have been observed the
-//! estimator is untrained and no hedge fires.
+//! estimator is untrained, no timer is armed and no hedge fires.
 
 use crate::frame::{self, Frame, Payload};
 use bagpred_ml::codec::fmt_f64;
 use bagpred_obs::LogHistogram;
-use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -74,15 +74,9 @@ pub struct ClientConfig {
     /// Seed for the deterministic jitter; two clients with the same seed
     /// sleep the same schedule. Zero falls back to a fixed default.
     pub jitter_seed: u64,
-    /// Offer the binary framing on every fresh connection (one
-    /// `hello proto=binary` line). A server that does not acknowledge
-    /// leaves the connection on the text protocol, so this is safe
-    /// against old servers; turn it off to force text.
-    pub prefer_binary: bool,
     /// Fire a hedge (a second copy of the request) when the reply has
     /// not started arriving by the client's rolling p95 latency
-    /// estimate. Binary connections only — hedging needs multiplexed
-    /// request ids. Off by default: a hedge is extra server load, and
+    /// estimate. Off by default: a hedge is extra server load, and
     /// only a tail-latency-sensitive caller should opt in.
     pub hedge: bool,
     /// Latency samples the p95 estimator needs before any hedge fires;
@@ -98,7 +92,6 @@ impl Default for ClientConfig {
             max_backoff: Duration::from_millis(500),
             io_timeout: Duration::from_secs(5),
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
-            prefer_binary: true,
             hedge: false,
             hedge_min_samples: 10,
         }
@@ -117,9 +110,9 @@ pub enum ClientError {
         attempts: u32,
         /// The final reply line received.
         last_reply: String,
-        /// The client-assigned request id of every attempt, in order —
-        /// on a binary connection these rode the wire, so a hedging
-        /// caller can match this failure against server-side traces.
+        /// The client-assigned request id of every attempt (hedges
+        /// included), in order, so a caller can match this failure
+        /// against server-side traces.
         request_ids: Vec<u64>,
     },
 }
@@ -179,32 +172,32 @@ pub fn backoff_delay(attempt: u32, config: &ClientConfig, rng: &mut u64) -> Dura
     Duration::from_micros(half + jitter)
 }
 
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Whether this connection negotiated the binary framing.
-    binary: bool,
+/// What [`Client::round_trip`] needs to hedge a `Line` request: the line
+/// a hedge would carry, and where to record a fired hedge's id.
+struct Hedging<'a> {
+    line: &'a str,
+    request_ids: &'a mut Vec<u64>,
 }
 
-/// A reconnecting line-protocol client with retry/backoff.
+/// A reconnecting binary-framed client with retry/backoff.
 ///
 /// Construction is cheap and infallible; the TCP connection is opened
-/// lazily on the first [`Client::request`] and re-opened after I/O
-/// errors.
+/// lazily on the first request and re-opened after I/O errors.
 pub struct Client {
     addr: SocketAddr,
     config: ClientConfig,
-    conn: Option<Conn>,
+    /// The socket, buffered for reads; frames are written straight to
+    /// the stream underneath.
+    conn: Option<BufReader<TcpStream>>,
     rng: u64,
     retries: u64,
     next_request_id: u64,
+    /// The id of the attempt whose reply the last [`Client::request`]
+    /// read (see [`Client::last_request_id`]).
+    last_request_id: Option<u64>,
     /// Rolling end-to-end latency of answered requests; its p95 is the
     /// hedge trigger.
     latency: LogHistogram,
-    /// Wire ids whose replies should be discarded on sight: cancelled
-    /// hedge losers, their fire-and-forget cancel acks, and duplicated
-    /// frames a fault-injected server may retransmit.
-    stale_ids: HashSet<u64>,
     hedges_fired: u64,
     hedge_wins: u64,
 }
@@ -229,8 +222,8 @@ impl Client {
             rng: seed,
             retries: 0,
             next_request_id: 1,
+            last_request_id: None,
             latency: LogHistogram::new(),
-            stale_ids: HashSet::new(),
             hedges_fired: 0,
             hedge_wins: 0,
         }
@@ -253,13 +246,13 @@ impl Client {
         self.hedge_wins
     }
 
-    /// Whether the current connection negotiated the binary framing:
-    /// `None` before the first connection is opened.
-    pub fn is_binary(&self) -> Option<bool> {
-        self.conn.as_ref().map(|conn| conn.binary)
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.next_request_id;
+        self.next_request_id += 1;
+        id
     }
 
-    fn connect(&mut self) -> std::io::Result<&mut Conn> {
+    fn connect(&mut self) -> std::io::Result<&mut BufReader<TcpStream>> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(self.addr)?;
             // Hedge and cancel frames are small writes racing a reply
@@ -269,264 +262,144 @@ impl Client {
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(self.config.io_timeout))?;
             stream.set_write_timeout(Some(self.config.io_timeout))?;
-            let writer = stream.try_clone()?;
-            let mut conn = Conn {
-                reader: BufReader::new(stream),
-                writer,
-                binary: false,
-            };
-            if self.config.prefer_binary {
-                // Feature negotiation in the text dialect both sides
-                // are guaranteed to share. An old server answers
-                // `err ...`; that reply is consumed here, so the
-                // connection is clean for the first request either way.
-                conn.writer
-                    .write_all(format!("{}\n", frame::HELLO_BINARY).as_bytes())?;
-                conn.writer.flush()?;
-                let mut ack = String::new();
-                let n = conn.reader.read_line(&mut ack)?;
-                if n == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection during negotiation",
-                    ));
-                }
-                conn.binary = ack.trim_end() == frame::HELLO_BINARY_OK;
+            let mut conn = BufReader::new(stream);
+            // Negotiate in the text dialect every server shares; the
+            // ack is consumed here, so the first frame starts clean.
+            conn.get_mut()
+                .write_all(format!("{}\n", frame::HELLO_BINARY).as_bytes())?;
+            let mut ack = String::new();
+            if conn.read_line(&mut ack)? == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection during negotiation",
+                ));
+            }
+            if ack.trim_end() != frame::HELLO_BINARY_OK {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "server declined the binary framing",
+                ));
             }
             self.conn = Some(conn);
         }
         Ok(self.conn.as_mut().expect("connection just installed"))
     }
 
-    fn attempt(&mut self, line: &str, request_id: u64) -> std::io::Result<String> {
-        self.connect()?;
-        let conn = self.conn.as_mut().expect("connection just installed");
-        if conn.binary {
-            // The line rides in a `Line` frame tagged with `request_id`.
-            let request = Frame::new(request_id, Payload::Line(line.to_string()));
-            return self.frame_round_trip(&request);
-        }
-        // One write syscall for line + newline: the writer is a raw
-        // `TcpStream`, and two small writes become two TCP segments —
-        // Nagle then parks the second behind the first's (possibly
-        // delayed) ACK, costing tens of milliseconds per request.
-        conn.writer.write_all(format!("{line}\n").as_bytes())?;
-        conn.writer.flush()?;
-        let mut reply = String::new();
-        let n = conn.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(reply.trim_end().to_string())
-    }
-
-    /// Writes one frame on the (binary) connection and reads until the
-    /// reply naming its id arrives, rendered back to the exact string
-    /// the text protocol would have sent. One request is in flight per
-    /// `Client`, but replies to earlier attempts may straggle after an
-    /// I/O-timeout retry (or a cancelled hedge loser) on the same
-    /// connection; any id that is not ours is drained.
-    fn frame_round_trip(&mut self, request: &Frame) -> std::io::Result<String> {
-        let conn = self.conn.as_mut().expect("connection installed");
-        conn.writer.write_all(&frame::encode(request))?;
-        conn.writer.flush()?;
-        loop {
-            let reply = Self::read_frame(&mut conn.reader)?;
-            if reply.request_id == request.request_id {
-                return Ok(render_reply(reply.payload));
-            }
-            self.stale_ids.remove(&reply.request_id);
-        }
-    }
-
-    fn read_frame(reader: &mut BufReader<TcpStream>) -> std::io::Result<Frame> {
-        let mut prelude = [0u8; frame::PRELUDE_LEN];
-        reader.read_exact(&mut prelude)?;
-        let len = frame::decode_prelude(&prelude)
-            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))?;
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
-        frame::decode_body(&body)
-            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))
-    }
-
-    /// One attempt with the hedge timer armed (see the module doc's
-    /// hedging section). Falls back to a plain attempt on a text
-    /// connection or while the p95 estimator is still untrained; either
-    /// way the observed latency feeds the estimator. Hedge ids that
-    /// actually rode the wire are appended to `request_ids` so
-    /// [`ClientError::Exhausted`] can name every attempt.
-    fn attempt_hedged(
+    /// Writes `request` and reads frames until one names an id this
+    /// round trip is waiting for, skipping any other id; returns that id
+    /// and the reply rendered to the exact string the text dialect would
+    /// have sent.
+    ///
+    /// Without `hedging` (or while the p95 estimator is untrained) this
+    /// is one write, then reads under the socket's `io_timeout`. With it,
+    /// a timer at the estimate waits for reply bytes; if none arrive in
+    /// time a hedge goes out (see the module doc), the first reply of
+    /// the pair wins and the loser is cancelled quietly. Either way a
+    /// hedging request's latency feeds the estimator.
+    fn round_trip(
         &mut self,
-        line: &str,
-        primary_id: u64,
-        request_ids: &mut Vec<u64>,
-    ) -> std::io::Result<String> {
-        self.connect()?;
-        let binary = self.conn.as_ref().is_some_and(|conn| conn.binary);
-        let snap = self.latency.snapshot();
-        if !binary || snap.count < self.config.hedge_min_samples {
-            let started = Instant::now();
-            let reply = self.attempt(line, primary_id)?;
-            self.latency.record_duration(started.elapsed());
-            return Ok(reply);
-        }
+        request: &Frame,
+        mut hedging: Option<Hedging<'_>>,
+    ) -> std::io::Result<(u64, String)> {
+        let io_timeout = self.config.io_timeout;
         // The p95 estimate, floored so the timer never degenerates into
         // hedging every request on a microsecond-fast server.
-        let hedge_delay = Duration::from_micros(snap.quantile(0.95).max(100));
+        let hedge_delay = hedging.as_ref().and_then(|_| {
+            let snap = self.latency.snapshot();
+            (snap.count >= self.config.hedge_min_samples)
+                .then(|| Duration::from_micros(snap.quantile(0.95).max(100)))
+        });
+        self.connect()?
+            .get_mut()
+            .write_all(&frame::encode(request))?;
+        let primary = request.request_id;
         let send_at = Instant::now();
-        let hedge_at = send_at + hedge_delay;
-        {
-            let conn = self.conn.as_mut().expect("connection just installed");
-            let request = Frame::new(primary_id, Payload::Line(line.to_string()));
-            conn.writer.write_all(&frame::encode(&request))?;
-            conn.writer.flush()?;
-        }
-        // None = timer armed; Some(id) = hedge in flight; Some(primary)
-        // doubles as "declined" (deadline spent), so the loop stops
-        // re-arming either way.
-        let mut hedge_id: Option<u64> = None;
+        let mut hedge_at = hedge_delay.map(|delay| send_at + delay);
+        let mut hedge_id = None;
         loop {
-            // Wait for reply bytes via `fill_buf` (peeks, consumes
-            // nothing) so a timer-driven read timeout cannot tear a
-            // frame mid-read.
-            let ready = {
-                let conn = self.conn.as_mut().expect("connection just installed");
-                let timeout = if hedge_id.is_none() {
-                    hedge_at
-                        .saturating_duration_since(Instant::now())
-                        .max(Duration::from_micros(100))
-                } else {
-                    self.config.io_timeout
-                };
-                conn.reader.get_ref().set_read_timeout(Some(timeout))?;
-                match conn.reader.fill_buf() {
-                    Ok([]) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        ))
+            let conn = self.conn.as_mut().expect("connection installed");
+            if let Some(at) = hedge_at {
+                if !reply_started_by(conn, at, io_timeout)? {
+                    if Instant::now() < at {
+                        continue; // spurious early timeout; keep waiting
                     }
-                    Ok(_) => true,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        false
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if ready {
-                let reply = {
-                    let conn = self.conn.as_mut().expect("connection just installed");
-                    conn.reader
-                        .get_ref()
-                        .set_read_timeout(Some(self.config.io_timeout))?;
-                    Self::read_frame(&mut conn.reader)?
-                };
-                let id = reply.request_id;
-                let hedged = hedge_id.filter(|&h| h != primary_id);
-                if id == primary_id || hedged == Some(id) {
-                    // First reply of the pair wins; cancel the loser so
-                    // the server can drop it before predict.
-                    if let Some(hedge) = hedged {
-                        let loser = if id == primary_id { hedge } else { primary_id };
-                        if id != primary_id {
-                            self.hedge_wins += 1;
-                        }
-                        self.cancel_quietly(loser);
-                    }
-                    self.latency.record_duration(send_at.elapsed());
-                    return Ok(render_reply(reply.payload));
-                }
-                self.stale_ids.remove(&id);
-                continue;
-            }
-            if hedge_id.is_none() {
-                if Instant::now() < hedge_at {
-                    continue; // spurious early timeout; keep waiting
-                }
-                match hedged_line(line, send_at.elapsed(), primary_id) {
-                    Some(hline) => {
-                        let id = self.next_request_id;
-                        self.next_request_id += 1;
-                        request_ids.push(id);
-                        let conn = self.conn.as_mut().expect("connection just installed");
-                        let request = Frame::new(id, Payload::Line(hline));
-                        conn.writer.write_all(&frame::encode(&request))?;
-                        conn.writer.flush()?;
-                        hedge_id = Some(id);
+                    hedge_at = None;
+                    let hedge = hedging
+                        .as_mut()
+                        .expect("the timer is armed only when hedging");
+                    // A spent deadline budget declines the hedge: it would
+                    // be shed on arrival. Wait out the primary alone.
+                    if let Some(line) = hedged_line(hedge.line, send_at.elapsed(), primary) {
+                        let id = self.fresh_id();
+                        hedge.request_ids.push(id);
                         self.hedges_fired += 1;
+                        hedge_id = Some(id);
+                        let conn = self.conn.as_mut().expect("connection installed");
+                        conn.get_mut()
+                            .write_all(&frame::encode(&Frame::new(id, Payload::Line(line))))?;
                     }
-                    // The deadline budget is spent: a hedge would be
-                    // shed on arrival. Wait out the primary alone.
-                    None => hedge_id = Some(primary_id),
+                    continue;
                 }
+            }
+            let reply = read_frame(conn)?;
+            let id = reply.request_id;
+            if id != primary && Some(id) != hedge_id {
                 continue;
             }
-            // Hedge already in flight (or declined) and a full
-            // io_timeout passed with no bytes: the server is stalled,
-            // which is exactly what the retry loop's reconnect handles.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "no reply within the io timeout",
-            ));
+            if let Some(hedge) = hedge_id {
+                let loser = if id == primary {
+                    hedge
+                } else {
+                    self.hedge_wins += 1;
+                    primary
+                };
+                self.cancel_quietly(loser);
+            }
+            if hedging.is_some() {
+                self.latency.record_duration(send_at.elapsed());
+            }
+            return Ok((id, render_reply(reply.payload)));
+        }
+    }
+
+    /// One round trip with no retry: a dead socket is dropped so the
+    /// next request reconnects.
+    fn exchange(&mut self, request: &Frame) -> Result<String, ClientError> {
+        match self.round_trip(request, None) {
+            Ok((_, reply)) => Ok(reply),
+            Err(err) => {
+                self.conn = None;
+                Err(ClientError::Io(err))
+            }
         }
     }
 
     /// Fire-and-forget server-side cancellation of a hedge loser: one
-    /// `Cancel` frame, no waiting. Both the loser's reply (if the
-    /// cancel loses its race) and the cancel's own ack are marked stale
-    /// so the read loops drain them on sight. Write errors are
-    /// swallowed — the winner is already in hand, and a dying socket
-    /// surfaces on the next request anyway.
+    /// `Cancel` frame, no waiting. Its ack, and the loser's reply if the
+    /// cancel loses its race, are skipped by id in later reads. Write
+    /// errors are swallowed — the winner is already in hand, and a dying
+    /// socket surfaces on the next request anyway.
     fn cancel_quietly(&mut self, loser: u64) {
-        let cancel_id = self.next_request_id;
-        self.next_request_id += 1;
-        self.stale_ids.insert(loser);
-        self.stale_ids.insert(cancel_id);
-        // Stragglers are skipped by id even when not tracked; the set
-        // only exists to stay tidy, so keep it bounded.
-        if self.stale_ids.len() > 1024 {
-            self.stale_ids.clear();
-        }
+        let cancel_id = self.fresh_id();
         if let Some(conn) = self.conn.as_mut() {
             let frame = Frame::new(cancel_id, Payload::Cancel { target: loser });
-            let _ = conn
-                .writer
-                .write_all(&frame::encode(&frame))
-                .and_then(|()| conn.writer.flush());
+            let _ = conn.get_mut().write_all(&frame::encode(&frame));
         }
     }
 
     /// Cancels an earlier request by the wire id it rode with, waiting
     /// for the server's verdict: `ok cancel=pending` when the target
     /// was still in flight, `ok cancel=late` when it had already
-    /// completed or was never seen. On a text connection this is the
-    /// `cancel id=N` line with the usual retry loop.
+    /// completed or was never seen. Leaves
+    /// [`last_request_id`](Self::last_request_id) unchanged.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] when the socket fails (single attempt on a
-    /// binary connection — by the time a retry landed, the answer would
-    /// be `late` regardless).
+    /// [`ClientError::Io`] when the socket fails (single attempt — by
+    /// the time a retry landed, the answer would be `late` regardless).
     pub fn cancel(&mut self, id: u64) -> Result<String, ClientError> {
-        self.connect().map_err(ClientError::Io)?;
-        if !self.conn.as_ref().is_some_and(|conn| conn.binary) {
-            return self.request(&format!("cancel id={id}"));
-        }
-        let cancel_id = self.next_request_id;
-        self.next_request_id += 1;
-        let request = Frame::new(cancel_id, Payload::Cancel { target: id });
-        self.frame_round_trip(&request).map_err(|err| {
-            // A dead socket cannot be reused; the next request reconnects.
-            self.conn = None;
-            ClientError::Io(err)
-        })
+        let cancel_id = self.fresh_id();
+        self.exchange(&Frame::new(cancel_id, Payload::Cancel { target: id }))
     }
 
     /// Send one request line and return the reply line, retrying
@@ -542,22 +415,26 @@ impl Client {
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.retries += 1;
-                let config = self.config.clone();
-                std::thread::sleep(backoff_delay(attempt - 1, &config, &mut self.rng));
+                std::thread::sleep(backoff_delay(attempt - 1, &self.config, &mut self.rng));
             }
             // Every attempt gets a fresh id — a retry is a new request
             // on the wire, so a hedging caller can tell them apart.
-            let request_id = self.next_request_id;
-            self.next_request_id += 1;
+            let request_id = self.fresh_id();
             request_ids.push(request_id);
-            let outcome = if self.config.hedge {
-                self.attempt_hedged(line, request_id, &mut request_ids)
-            } else {
-                self.attempt(line, request_id)
-            };
-            match outcome {
-                Ok(reply) if is_retryable(&reply) => last_reply = Some(reply),
-                Ok(reply) => return Ok(reply),
+            self.last_request_id = Some(request_id);
+            let request = Frame::new(request_id, Payload::Line(line.to_string()));
+            let hedging = self.config.hedge.then_some(Hedging {
+                line,
+                request_ids: &mut request_ids,
+            });
+            match self.round_trip(&request, hedging) {
+                Ok((answered, reply)) => {
+                    self.last_request_id = Some(answered);
+                    if !is_retryable(&reply) {
+                        return Ok(reply);
+                    }
+                    last_reply = Some(reply);
+                }
                 Err(err) => {
                     // A dead socket cannot be reused; reconnect on retry.
                     self.conn = None;
@@ -576,52 +453,77 @@ impl Client {
         }
     }
 
-    /// The id the most recent attempt rode the wire with, or `None`
-    /// before the first request. This is the id to hand back to
-    /// [`report_outcome`](Self::report_outcome) after acting on a
+    /// The id of the attempt that answered the most recent
+    /// [`request`](Self::request) — a hedge pair's winner, or the last
+    /// attempt when retries ran out — or `None` before the first
+    /// request. [`cancel`](Self::cancel) and a hedge's quiet cancel take
+    /// ids of their own but do not move it. This is the id to hand back
+    /// to [`report_outcome`](Self::report_outcome) after acting on a
     /// prediction: the server joins the outcome to the prediction it
     /// recorded under that id.
     pub fn last_request_id(&self) -> Option<u64> {
-        (self.next_request_id > 1).then(|| self.next_request_id - 1)
+        self.last_request_id
     }
 
     /// Closes the loop on an earlier prediction: reports the runtime
     /// actually observed after acting on it, named by the request id the
     /// prediction was served under (see
-    /// [`last_request_id`](Self::last_request_id)). On a binary
-    /// connection the report rides a compact `Outcome` frame whose own
-    /// request id *is* the join key; on a text connection it falls back
-    /// to the `observe` line (the server records only binary requests
-    /// for joining and scopes the id to the sender's connection, so
-    /// text-only reports come back `orphaned`). Returns the reply line:
+    /// [`last_request_id`](Self::last_request_id)). The report rides a
+    /// compact `Outcome` frame whose own request id *is* the join key;
+    /// the server scopes it to this connection. Returns the reply line:
     /// `ok outcome=matched` or `ok outcome=orphaned`.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] when the socket fails. The binary path is a
-    /// single attempt — retrying an outcome report is pointless, since
-    /// the first delivery already consumed (or orphaned) the join key;
-    /// the text fallback goes through [`request`](Self::request) and
-    /// inherits its retry loop, which is harmless for the same reason:
-    /// a replayed report is counted as orphaned, never double-joined.
+    /// [`ClientError::Io`] when the socket fails. This is a single
+    /// attempt — retrying an outcome report is pointless, since the
+    /// first delivery already consumed (or orphaned) the join key.
     pub fn report_outcome(&mut self, id: u64, actual_us: u64) -> Result<String, ClientError> {
-        if self.conn.as_ref().is_some_and(|conn| conn.binary) {
-            return self.report_outcome_binary(id, actual_us);
-        }
-        self.request(&format!("observe id={id} actual_us={actual_us}"))
+        self.exchange(&Frame::new(id, Payload::Outcome { actual_us }))
     }
+}
 
-    /// The binary-framed outcome report: 8 payload bytes, joined by the
-    /// frame's own request id.
-    fn report_outcome_binary(&mut self, id: u64, actual_us: u64) -> Result<String, ClientError> {
-        self.connect().map_err(ClientError::Io)?;
-        let request = Frame::new(id, Payload::Outcome { actual_us });
-        self.frame_round_trip(&request).map_err(|err| {
-            // A dead socket cannot be reused; the next request reconnects.
-            self.conn = None;
-            ClientError::Io(err)
-        })
-    }
+fn read_frame(reader: &mut BufReader<TcpStream>) -> std::io::Result<Frame> {
+    let mut prelude = [0u8; frame::PRELUDE_LEN];
+    reader.read_exact(&mut prelude)?;
+    let len = frame::decode_prelude(&prelude)
+        .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))?;
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body)?;
+    frame::decode_body(&body)
+        .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))
+}
+
+/// Waits until reply bytes are buffered or `at` passes, then restores
+/// the socket's `io_timeout`. `fill_buf` peeks without consuming, so the
+/// timer lapsing mid-wait cannot tear a frame.
+fn reply_started_by(
+    conn: &mut BufReader<TcpStream>,
+    at: Instant,
+    io_timeout: Duration,
+) -> std::io::Result<bool> {
+    let wait = at
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_micros(100));
+    conn.get_ref().set_read_timeout(Some(wait))?;
+    let started = match conn.fill_buf() {
+        Ok([]) => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ))
+        }
+        Ok(_) => true,
+        Err(e)
+            if e.kind() == std::io::ErrorKind::WouldBlock
+                || e.kind() == std::io::ErrorKind::TimedOut =>
+        {
+            false
+        }
+        Err(e) => return Err(e),
+    };
+    conn.get_ref().set_read_timeout(Some(io_timeout))?;
+    Ok(started)
 }
 
 /// The wire line for a hedge attempt. A `deadline_ms=` token is
@@ -674,6 +576,78 @@ pub(crate) fn render_reply(payload: Payload) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{PredictionService, ServiceConfig};
+    use crate::server::Server;
+    use bagpred_core::Platforms;
+    use std::sync::Arc;
+
+    /// A fake binary server for one connection: acks the hello, then
+    /// writes whatever `answer` returns for each request frame until
+    /// the client hangs up. Joins to the number of frames it read.
+    fn fake_binary_server(
+        mut answer: impl FnMut(Frame) -> Vec<Frame> + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<u32>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+            let mut writer = stream;
+            let mut hello = String::new();
+            reader.read_line(&mut hello).expect("reads hello");
+            assert_eq!(hello.trim_end(), frame::HELLO_BINARY);
+            writer
+                .write_all(format!("{}\n", frame::HELLO_BINARY_OK).as_bytes())
+                .expect("acks binary");
+            let mut served = 0;
+            while let Ok(request) = read_frame(&mut reader) {
+                served += 1;
+                for reply in answer(request) {
+                    if writer.write_all(&frame::encode(&reply)).is_err() {
+                        return served;
+                    }
+                }
+            }
+            served
+        });
+        (addr, server)
+    }
+
+    fn overloaded(request_id: u64) -> Frame {
+        Frame::new(
+            request_id,
+            Payload::Error {
+                code: frame::error_code::OVERLOADED,
+                message: "overloaded: request queue is full, retry later".to_string(),
+            },
+        )
+    }
+
+    /// A raw text-dialect connection: each call writes one line and
+    /// reads one reply line.
+    fn text_socket(addr: SocketAddr) -> impl FnMut(&str) -> String {
+        let stream = TcpStream::connect(addr).expect("connects");
+        let mut writer = stream.try_clone().expect("clones");
+        let mut reader = BufReader::new(stream);
+        move |line| {
+            writer
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("writes");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("reads");
+            reply.trim_end().to_string()
+        }
+    }
+
+    fn predicted_us(reply: &str) -> u64 {
+        let predicted_s: f64 = reply
+            .rsplit_once("predicted_s=")
+            .expect("has field")
+            .1
+            .parse()
+            .expect("parses");
+        (predicted_s * 1e6).round() as u64
+    }
 
     #[test]
     fn backoff_schedule_is_deterministic_and_caps() {
@@ -729,23 +703,16 @@ mod tests {
     fn exhausted_requests_surface_the_last_reply() {
         // A fake server that always sheds: every attempt reads
         // `err overloaded`, so the client retries then gives up typed.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let mut served = 0u32;
-            // One connection; the client keeps it open across retries.
-            let (stream, _) = listener.accept().expect("accepts");
-            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
-            let mut writer = stream;
-            let mut line = String::new();
-            while reader.read_line(&mut line).map(|n| n > 0).unwrap_or(false) {
-                writer
-                    .write_all(b"err overloaded: request queue is full, retry later\n")
-                    .expect("writes");
-                served += 1;
-                line.clear();
-            }
-            served
+        // Each shed is preceded by a success under a foreign id, which
+        // the read loop must skip rather than take as its reply.
+        let (addr, server) = fake_binary_server(|request| {
+            vec![
+                Frame::new(
+                    request.request_id + 100,
+                    Payload::LineReply("ok model=pair-tree predicted_s=1.5".to_string()),
+                ),
+                overloaded(request.request_id),
+            ]
         });
         let mut client = Client::with_config(
             addr,
@@ -753,7 +720,6 @@ mod tests {
                 max_attempts: 3,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
-                prefer_binary: false, // pure text path
                 ..ClientConfig::default()
             },
         );
@@ -775,54 +741,63 @@ mod tests {
             other => panic!("expected Exhausted, got {other:?}"),
         }
         assert_eq!(client.retries(), 2);
-        assert_eq!(client.is_binary(), Some(false));
+        assert_eq!(client.last_request_id(), Some(3), "the last attempt");
         drop(client);
         assert_eq!(server.join().expect("server thread"), 3);
     }
 
     #[test]
-    fn client_falls_back_to_text_when_the_server_declines_binary() {
-        // A text-only server: it answers the hello line with an error
-        // (as any build predating the binary framing would) and then
-        // echoes canned replies. The client must stay on text and the
-        // request must still succeed.
+    fn client_reports_a_server_that_declines_binary_as_an_io_error() {
+        // A text-only server: it answers the hello line with an error,
+        // as any build predating the binary framing would. The client
+        // must not fall back to text; it reports a typed I/O error, and
+        // the retry loop reconnects like after any other I/O failure.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = listener.local_addr().expect("addr");
         let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accepts");
-            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
-            let mut writer = stream;
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("reads hello");
-            assert_eq!(line.trim_end(), frame::HELLO_BINARY);
-            writer
-                .write_all(b"err bad request: unknown verb `hello`\n")
-                .expect("declines");
-            line.clear();
-            reader.read_line(&mut line).expect("reads request");
-            writer
-                .write_all(b"ok model=pair-tree predicted_s=1.5\n")
-                .expect("answers");
-            line.trim_end().to_string()
+            let mut after_decline = Vec::new();
+            for _ in 0..2 {
+                let (stream, _) = listener.accept().expect("accepts");
+                let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+                let mut writer = stream;
+                let mut hello = String::new();
+                reader.read_line(&mut hello).expect("reads hello");
+                assert_eq!(hello.trim_end(), frame::HELLO_BINARY);
+                writer
+                    .write_all(b"err bad request: unknown verb `hello`\n")
+                    .expect("declines");
+                reader
+                    .read_to_end(&mut after_decline)
+                    .expect("reads to EOF");
+            }
+            after_decline
         });
-        let mut client = Client::new(addr);
-        let reply = client.request("predict SIFT@20+KNN@40").expect("succeeds");
-        assert_eq!(reply, "ok model=pair-tree predicted_s=1.5");
-        assert_eq!(client.is_binary(), Some(false));
-        assert_eq!(
-            server.join().expect("server thread"),
-            "predict SIFT@20+KNN@40",
-            "the request must arrive as a plain text line"
+        let mut client = Client::with_config(
+            addr,
+            ClientConfig {
+                max_attempts: 2,
+                base_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(2),
+                ..ClientConfig::default()
+            },
+        );
+        match client.request("predict SIFT@20+KNN@40") {
+            Err(ClientError::Io(err)) => {
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                assert_eq!(err.to_string(), "server declined the binary framing");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        assert_eq!(client.retries(), 1);
+        drop(client);
+        assert!(
+            server.join().expect("server thread").is_empty(),
+            "nothing may follow a declined hello"
         );
     }
 
     #[test]
     fn client_negotiates_binary_and_renders_identical_reply_lines() {
-        use crate::engine::{PredictionService, ServiceConfig};
-        use crate::server::Server;
-        use bagpred_core::Platforms;
-        use std::sync::Arc;
-
         let service = PredictionService::start(
             crate::testutil::registry(),
             Platforms::paper(),
@@ -830,13 +805,7 @@ mod tests {
         );
         let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
 
-        let mut text = Client::with_config(
-            server.local_addr(),
-            ClientConfig {
-                prefer_binary: false,
-                ..ClientConfig::default()
-            },
-        );
+        let mut text = text_socket(server.local_addr());
         let mut binary = Client::new(server.local_addr());
 
         for line in [
@@ -846,26 +815,19 @@ mod tests {
             "health",
             "bogus nonsense", // error replies must match too
         ] {
-            let from_text = text.request(line).expect("text reply");
+            let from_text = text(line);
             let from_binary = binary.request(line).expect("binary reply");
             assert_eq!(
                 from_binary, from_text,
                 "binary and text replies must be byte-identical for `{line}`"
             );
         }
-        assert_eq!(text.is_binary(), Some(false));
-        assert_eq!(binary.is_binary(), Some(true));
         server.shutdown();
         service.shutdown();
     }
 
     #[test]
     fn report_outcome_closes_the_loop_on_binary_and_orphans_on_text() {
-        use crate::engine::{PredictionService, ServiceConfig};
-        use crate::server::Server;
-        use bagpred_core::Platforms;
-        use std::sync::Arc;
-
         let service = PredictionService::start(
             crate::testutil::registry(),
             Platforms::paper(),
@@ -873,18 +835,12 @@ mod tests {
         );
         let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
 
-        // Binary connection: the predict rode the wire with a client-
-        // assigned id, so the outcome report joins it — exactly once.
+        // The predict rode the wire with a client-assigned id, so the
+        // outcome report joins it — exactly once.
         let mut binary = Client::new(server.local_addr());
         assert_eq!(binary.last_request_id(), None, "no request yet");
         let reply = binary.request("predict SIFT@20+KNN@40").expect("predicts");
-        let predicted_s: f64 = reply
-            .rsplit_once("predicted_s=")
-            .expect("has field")
-            .1
-            .parse()
-            .expect("parses");
-        let actual_us = (predicted_s * 1e6).round() as u64;
+        let actual_us = predicted_us(&reply);
         let id = binary.last_request_id().expect("a request was made");
         assert_eq!(
             binary.report_outcome(id, actual_us).expect("reports"),
@@ -898,17 +854,10 @@ mod tests {
 
         // Text connection: predictions are never recorded (no wire id),
         // so the loop cannot close — the report is counted as orphaned.
-        let mut text = Client::with_config(
-            server.local_addr(),
-            ClientConfig {
-                prefer_binary: false,
-                ..ClientConfig::default()
-            },
-        );
-        text.request("predict SIFT@20+KNN@40").expect("predicts");
-        let id = text.last_request_id().expect("a request was made");
+        let mut text = text_socket(server.local_addr());
+        assert!(text("predict SIFT@20+KNN@40").starts_with("ok model="));
         assert_eq!(
-            text.report_outcome(id, actual_us).expect("reports"),
+            text(&format!("observe id=1 actual_us={actual_us}")),
             "ok outcome=orphaned"
         );
 
@@ -963,15 +912,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hedge_beats_a_slow_shard_and_the_pair_counts_once() {
-        use crate::engine::{PredictionService, ServiceConfig};
+    /// A service whose first pair-tree predict stalls 300ms, and a
+    /// hedging client that has just sent that predict: its hedge fired
+    /// and won. Returns the reply too.
+    fn hedged_past_a_slow_shard() -> (Arc<PredictionService>, Server, Client, String) {
         use crate::fault::FaultPlan;
-        use crate::server::Server;
-        use bagpred_core::Platforms;
-        use std::sync::Arc;
 
-        // One armed fault: the first pair-tree predict stalls 300ms.
         // Two workers per shard so the hedge can overtake the stuck
         // primary instead of queueing behind it.
         let service = PredictionService::start(
@@ -986,7 +932,7 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        let mut server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
 
         let mut client = Client::with_config(
             server.local_addr(),
@@ -998,7 +944,7 @@ mod tests {
             },
         );
         // Warm the p95 estimator on a model the fault does not target;
-        // below min_samples these ride the plain path (no hedges).
+        // below min_samples no timer is armed (no hedges).
         for _ in 0..5 {
             client
                 .request("predict model=nbag-tree HOG@20+FAST@80+ORB@40")
@@ -1014,18 +960,18 @@ mod tests {
         assert!(reply.starts_with("ok model=pair-tree"), "{reply}");
         assert_eq!(client.hedges_fired(), 1);
         assert_eq!(client.hedge_wins(), 1, "the hedge must beat the stall");
+        (service, server, client, reply)
+    }
+
+    #[test]
+    fn hedge_beats_a_slow_shard_and_the_pair_counts_once() {
+        let (service, mut server, _client, _) = hedged_past_a_slow_shard();
 
         // The stalled primary finishes eventually and is deduplicated —
         // the pair's served attempt counts exactly once. Poll `stats`
-        // (text connection, independent of the hedging client) until
-        // the dedup lands.
-        let mut probe = Client::with_config(
-            server.local_addr(),
-            ClientConfig {
-                prefer_binary: false,
-                ..ClientConfig::default()
-            },
-        );
+        // (on a connection independent of the hedging client) until the
+        // dedup lands.
+        let mut probe = Client::new(server.local_addr());
         let deadline = Instant::now() + Duration::from_secs(5);
         let stats = loop {
             let stats = probe.request("stats").expect("stats reply");
@@ -1047,60 +993,52 @@ mod tests {
     }
 
     #[test]
+    fn outcome_report_after_a_hedge_joins_the_served_prediction() {
+        let (service, mut server, mut client, reply) = hedged_past_a_slow_shard();
+
+        // Ids 1-5 were the warmup, 6 the stalled primary, 7 the winning
+        // hedge and 8 the quiet cancel of the primary: the join key is
+        // the hedge's id, not the last id the client handed out.
+        let id = client.last_request_id().expect("a request was made");
+        assert_eq!(id, 7, "the hedge answered");
+        assert_eq!(
+            client
+                .report_outcome(id, predicted_us(&reply))
+                .expect("reports"),
+            "ok outcome=matched"
+        );
+        assert_eq!(service.outcomes().matched(), 1);
+        assert_eq!(service.outcomes().orphaned(), 0);
+
+        // An explicit cancel takes an id of its own but leaves the join
+        // key where it was.
+        assert_eq!(client.cancel(id).expect("cancels"), "ok cancel=late");
+        assert_eq!(client.last_request_id(), Some(id));
+        server.shutdown();
+        service.shutdown();
+    }
+
+    #[test]
     fn exhausted_carries_hedge_attempt_ids() {
-        // A fake binary server that sheds every predict slowly enough
-        // for the hedge timer (100µs floor on an untrained estimator)
-        // to fire first, and acks cancels: every attempt hedges, every
-        // reply is `err overloaded`, and the final Exhausted error must
-        // name the hedge ids alongside the primaries.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accepts");
-            let mut reader = BufReader::new(stream.try_clone().expect("clones"));
-            let mut writer = stream;
-            let mut hello = String::new();
-            reader.read_line(&mut hello).expect("reads hello");
-            assert_eq!(hello.trim_end(), frame::HELLO_BINARY);
-            writer
-                .write_all(format!("{}\n", frame::HELLO_BINARY_OK).as_bytes())
-                .expect("acks binary");
-            loop {
-                let mut prelude = [0u8; frame::PRELUDE_LEN];
-                if reader.read_exact(&mut prelude).is_err() {
-                    break; // client hung up
-                }
-                let len = frame::decode_prelude(&prelude).expect("prelude");
-                let mut body = vec![0u8; len];
-                reader.read_exact(&mut body).expect("body");
-                let request = frame::decode_body(&body).expect("frame");
-                let reply = match request.payload {
-                    Payload::Cancel { .. } => Frame::new(
-                        request.request_id,
-                        Payload::LineReply("ok cancel=late".to_string()),
-                    ),
-                    _ => {
-                        // Slow enough that the hedge timer always wins
-                        // the race against this reply — comfortably
-                        // past the kernel's read-timeout granularity
-                        // (SO_RCVTIMEO rounds up to a scheduler tick,
-                        // as much as 10ms), which is the real floor on
-                        // the client's 100µs timer.
-                        std::thread::sleep(Duration::from_millis(50));
-                        Frame::new(
-                            request.request_id,
-                            Payload::Error {
-                                code: frame::error_code::OVERLOADED,
-                                message: "overloaded: request queue is full, retry later"
-                                    .to_string(),
-                            },
-                        )
-                    }
-                };
-                if writer.write_all(&frame::encode(&reply)).is_err() {
-                    break;
-                }
+        // A fake server that sheds every predict slowly enough for the
+        // hedge timer (100µs floor on an untrained estimator) to fire
+        // first, and acks cancels: every attempt hedges, every reply is
+        // `err overloaded`, and the final Exhausted error must name the
+        // hedge ids alongside the primaries.
+        let (addr, server) = fake_binary_server(|request| {
+            if let Payload::Cancel { .. } = request.payload {
+                return vec![Frame::new(
+                    request.request_id,
+                    Payload::LineReply("ok cancel=late".to_string()),
+                )];
             }
+            // Slow enough that the hedge timer always wins the race
+            // against this reply — comfortably past the kernel's
+            // read-timeout granularity (SO_RCVTIMEO rounds up to a
+            // scheduler tick, as much as 10ms), which is the real floor
+            // on the client's 100µs timer.
+            std::thread::sleep(Duration::from_millis(50));
+            vec![overloaded(request.request_id)]
         });
         let mut client = Client::with_config(
             addr,
@@ -1134,6 +1072,11 @@ mod tests {
         }
         assert_eq!(client.hedges_fired(), 2);
         assert_eq!(client.hedge_wins(), 0, "the primary answered first");
+        assert_eq!(
+            client.last_request_id(),
+            Some(4),
+            "the last attempt's answering primary"
+        );
         drop(client);
         server.join().expect("server thread");
     }

@@ -7,8 +7,7 @@
 //! every text verb starts with an ASCII letter, so one byte decides.
 //! A text connection can also *upgrade* mid-stream by sending the
 //! negotiation line `hello proto=binary` (see [`HELLO_BINARY`]), which
-//! a pre-binary server answers with an ordinary `err` line — the
-//! client's cue to fall back to text.
+//! a pre-binary server answers with an ordinary `err` line.
 //!
 //! # Frame layout (all integers little-endian)
 //!
@@ -75,8 +74,8 @@ const BODY_HEADER_LEN: usize = 11;
 
 /// The text-protocol line that upgrades a connection to binary frames.
 /// Answered with [`HELLO_BINARY_OK`] by a binary-capable server and with
-/// an `err` line by anything older — which is exactly the signal a
-/// client needs to fall back to text.
+/// an `err` line by anything older, which the bundled client reports as
+/// an I/O error.
 pub const HELLO_BINARY: &str = "hello proto=binary";
 
 /// The affirmative reply to [`HELLO_BINARY`]; every byte after it is a

@@ -17,6 +17,20 @@ cargo test -q
 # The root manifest is a package, not a virtual workspace, so the
 # tier-1 build above only covers the facade crate and its deps. Build
 # the remaining members (the `repro` binary in particular) too.
+# The vendored property-test macro once added a `#[test]` on top of the
+# one every `proptest!` function writes, so each property was registered
+# and run twice. List every workspace test binary and fail when one of
+# them lists a test name more than once.
+echo "== test registry: no test name listed twice in one binary =="
+dups="$(cargo test --workspace -- --list 2>&1 | awk '
+  /^ *(Running|Doc-tests) / { bin = $0; split("", seen); next }
+  /: (test|bench)$/ && seen[$0]++ { print bin ": " $0 }')"
+if [[ -n "$dups" ]]; then
+  echo "test names listed twice:" >&2
+  echo "$dups" >&2
+  exit 1
+fi
+
 echo "== workspace build: cargo build --release --workspace =="
 cargo build --release --workspace
 
@@ -61,6 +75,9 @@ echo "== wire protocol: frame codec + sharding isolation (bounded at 300s) =="
 # one request path: a text line and a binary `Line` frame get the same
 # reply bytes, and every id a verb names is scoped to its connection,
 # so no client can cancel or consume the outcome of another's request.
+# The bundled client speaks only binary frames: a server that declines
+# the framing is a typed I/O error, and the read loop skips replies
+# that name an id it is not waiting for.
 # A text line longer than the frame body bound gets one typed error and
 # a clean close, so a client that never sends a newline cannot grow the
 # server's memory.
@@ -73,7 +90,9 @@ timeout 120 cargo test -q -p bagpred-serve --lib -- --exact \
   server::tests::text_cancel_and_observe_cannot_reach_another_connections_request \
   server::tests::binary_line_cancel_reaches_the_same_connections_queued_request \
   server::tests::text_lines_and_binary_line_frames_get_byte_identical_replies \
-  client::tests::client_negotiates_binary_and_renders_identical_reply_lines
+  client::tests::client_negotiates_binary_and_renders_identical_reply_lines \
+  client::tests::client_reports_a_server_that_declines_binary_as_an_io_error \
+  client::tests::exhausted_requests_surface_the_last_reply
 timeout 300 cargo test -q --test serving -- --exact \
   binary_wire_predictions_are_bit_identical_to_the_offline_predictor \
   shard_isolation_keeps_fast_model_p99_near_baseline
@@ -113,8 +132,10 @@ echo "== outcome feedback: residual tracking + drift detection (bounded at 300s)
 # engine must join each outcome to its recorded prediction exactly once
 # (orphaning duplicates and evicting by capacity/TTL), a drift alarm
 # must latch advisory-only and re-arm on reload, the wire must parse
-# `observe` on both dialects, and the ext9 drill must fire at the same
-# sample on every run while the live loop flips the exposition gauge.
+# `observe` on both dialects, an outcome reported after a hedge must
+# join the prediction the winning attempt served, and the ext9 drill
+# must fire at the same sample on every run while the live loop flips
+# the exposition gauge.
 timeout 120 cargo test -q -p bagpred-obs --lib -- --exact \
   rolling::tests::concurrent_writers_match_serial_reference \
   rolling::tests::signed_bias_distinguishes_over_and_under_prediction \
@@ -128,7 +149,8 @@ timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
   engine::tests::drift_alarm_latches_flags_health_and_reload_rearms_the_detector \
   engine::tests::slow_captures_carry_the_upstream_trace_context \
   protocol::tests::parses_observe_and_formats_its_reply \
-  client::tests::report_outcome_closes_the_loop_on_binary_and_orphans_on_text
+  client::tests::report_outcome_closes_the_loop_on_binary_and_orphans_on_text \
+  client::tests::outcome_report_after_a_hedge_joins_the_served_prediction
 timeout 300 cargo test -q -p bagpred-experiments --lib -- --exact \
   extensions::tests::online_mape_matches_offline_loocv_within_quantization \
   extensions::tests::drift_drill_fires_deterministically_after_the_perturbation \
