@@ -1465,3 +1465,71 @@ fn binary_wire_predictions_are_bit_identical_to_the_offline_predictor() {
     drop(server);
     service.shutdown();
 }
+
+/// Closing the loop through hedges: a hedging client that reports the
+/// observed runtime after every request joins every one of them, the
+/// request whose hedge beat a stalled primary included.
+#[test]
+fn a_hedging_client_joins_the_outcome_of_every_prediction_it_served() {
+    // Two workers per shard so the hedge can overtake the stalled
+    // primary instead of queueing behind it.
+    let service = PredictionService::start(
+        registry(),
+        Platforms::paper(),
+        ServiceConfig {
+            workers: 2,
+            faults: Arc::new(
+                FaultPlan::parse(&format!(
+                    "slow_predict:model={}:count=1:ms=300",
+                    bootstrap::PAIR_MODEL
+                ))
+                .expect("parses"),
+            ),
+            ..ServiceConfig::default()
+        },
+    );
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
+    let mut client = Client::with_config(
+        server.local_addr(),
+        ClientConfig {
+            hedge: true,
+            hedge_min_samples: 5,
+            ..ClientConfig::default()
+        },
+    );
+    // Five requests on a model the fault spares train the p95 hedge
+    // timer; the sixth stalls on the faulted model and is hedged.
+    let warmup = format!(
+        "predict model={} HOG@20+FAST@80+ORB@40",
+        bootstrap::NBAG_MODEL
+    );
+    let stalled = format!("predict model={} SIFT@20+KNN@40", bootstrap::PAIR_MODEL);
+    let mut joined = Vec::new();
+    for line in std::iter::repeat_n(&warmup, 5).chain([&stalled]) {
+        let reply = client.request(line).expect("predicts");
+        let predicted_s: f64 = reply
+            .rsplit_once("predicted_s=")
+            .expect("a prediction")
+            .1
+            .parse()
+            .expect("parses");
+        let id = client.last_request_id().expect("a request was made");
+        let report = client
+            .report_outcome(id, (predicted_s * 1e6).round() as u64)
+            .expect("reports");
+        joined.push((id, report));
+    }
+    assert_eq!(client.hedges_fired(), 1, "only the stalled request hedges");
+    assert_eq!(client.hedge_wins(), 1, "the hedge beats the stall");
+    // Ids 1-5 are the warmup and 6 the stalled primary; its hedge (7)
+    // answered, and 8 went to the quiet cancel of the primary.
+    let ids: Vec<u64> = joined.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, vec![1, 2, 3, 4, 5, 7]);
+    for (id, report) in &joined {
+        assert_eq!(report, "ok outcome=matched", "request {id}");
+    }
+    assert_eq!(service.outcomes().matched(), 6);
+    assert_eq!(service.outcomes().orphaned(), 0);
+    drop(server);
+    service.shutdown();
+}
