@@ -18,6 +18,7 @@
 use crate::arrivals::Job;
 use crate::policy::{Policy, PolicyCtx};
 use bagpred_obs::{LogHistogram, ResidualWindow};
+use bagpred_serve::core::brownout_limit;
 use bagpred_serve::error::ServeError;
 use bagpred_serve::Priority;
 use bagpred_workloads::Workload;
@@ -57,20 +58,14 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Queue depth at which an arrival of `prio` sheds, or `None` when
-    /// brownout is disabled. Same watermark ladder as the serving
-    /// engine: low sheds first, then normal, and high holds out until
-    /// the queue is hard-full.
+    /// brownout is disabled: the serving engine's own rule, so low sheds
+    /// first, then normal, and high holds out until the queue is
+    /// hard-full.
     fn brownout_limit(&self, prio: Priority) -> Option<usize> {
-        if self.queue_capacity == 0 {
-            return None;
-        }
-        let fraction = match prio {
-            Priority::High => return Some(self.queue_capacity),
-            Priority::Normal => self.brownout_normal,
-            Priority::Low => self.brownout_low,
-        };
-        let limit = (self.queue_capacity as f64 * fraction).ceil() as usize;
-        Some(limit.min(self.queue_capacity).max(1))
+        (self.queue_capacity > 0).then(|| {
+            let (low, normal) = (self.brownout_low, self.brownout_normal);
+            brownout_limit(self.queue_capacity, low, normal, prio)
+        })
     }
 }
 

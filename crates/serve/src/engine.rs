@@ -1,21 +1,24 @@
-//! The concurrent request engine: per-model shards, each a bounded
-//! queue feeding its own worker set.
+//! The concurrent request engine: the threads, locks and channels that
+//! drive the [`EngineCore`] state machine.
 //!
 //! Requests enter through [`PredictionService::submit`] (async, returns a
-//! channel) or [`PredictionService::call`] (blocking convenience). Each
-//! registered model owns a [`Shard`]: a bounded queue + condvar with
-//! [`ServiceConfig::workers`] dedicated workers, so a slow or
-//! quarantined model fills *its* queue and sheds *its* traffic while
-//! every other model keeps answering at full speed — the serve-side
-//! mirror of the cross-application interference the paper models on the
-//! GPU. Non-predict commands (and predicts whose model cannot be
-//! resolved) ride a control shard. The shard map is immutable and
-//! swapped atomically when an admin `load` registers a new model.
-//! When any queue is full the service **sheds load** —
-//! [`ServeError::Overloaded`] immediately, never unbounded buffering —
-//! so a burst degrades into fast rejections instead of collapsing
-//! latency for everyone. Workers drain requests in small batches per
-//! lock acquisition to cut contention under load.
+//! channel) or [`PredictionService::call`] (blocking convenience). Every
+//! decision about a request lives in the core: which shard's queue it
+//! waits in, whether it is shed (queue full, or a brownout watermark for
+//! its priority), whether a worker runs it or drops it as cancelled or
+//! past its deadline, and how its finish settles hedge pairs and the
+//! outcome ring. This module does the I/O around those decisions: one
+//! `Mutex` guards the core, each shard has a `Condvar` its
+//! [`ServiceConfig::workers`] dedicated workers wait on, and replies go
+//! back over channels. A submit resolves a predict's model once, which
+//! names its shard; non-predict commands (and predicts whose model
+//! cannot be resolved) ride the control shard. A slow or quarantined
+//! model fills *its* queue and sheds *its* traffic while every other
+//! model keeps answering at full speed — the serve-side mirror of the
+//! cross-application interference the paper models on the GPU. Sheds
+//! are [`ServeError::Overloaded`] at once, never unbounded buffering. A
+//! tagged request takes the core lock three times: at submit, with its
+//! drained batch, and to settle.
 //!
 //! Every job carries a [`Trace`] recording how long each pipeline stage
 //! took (parse, queue wait, admission, cache lookup, batch assembly,
@@ -42,27 +45,30 @@
 
 use crate::admission::{self, Placement};
 use crate::cache::FeatureCache;
+use crate::core::{
+    EngineCore, Evicted, Fate, Finished, Priced, ShardId, Shed, Submit, Taken, CONTROL_SHARD,
+};
 use crate::error::ServeError;
 use crate::fault::{panic_message, FaultPlan, FaultSite, HealthReport, ModelHealth};
 use crate::metrics::{
     BrownoutPressure, Counter, Metrics, MetricsSnapshot, ModelMetrics, OutcomeCounters,
-    OutcomeTrackers, Priority, RobustnessCounters, ShardSnapshot,
+    OutcomeTrackers, RobustnessCounters, ShardSnapshot,
 };
 use crate::observe::{self, StatsReport};
 use crate::protocol::RequestOptions;
-use crate::shard::{Shard, CONTROL_SHARD};
 use crate::snapshot::{self, ModelRegistry, ServableModel};
 use bagpred_core::nbag::{NBag, NBagMeasurement, MAX_BAG};
 use bagpred_core::{Bag, Measurement, Platforms};
 use bagpred_obs::{EventLog, SlowEvent, Stage, StageSet, Trace};
 use bagpred_workloads::Workload;
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The control shard's id in every core.
+const CONTROL: ShardId = 0;
 
 /// Tuning knobs for the engine.
 #[derive(Debug, Clone)]
@@ -384,178 +390,17 @@ impl ReplySink {
     }
 }
 
-/// A served prediction as its outcome join needs it: the model that
-/// priced the request and the price, in whole microseconds.
-pub(crate) struct Priced {
-    model: String,
-    predicted_us: u64,
-}
-
-/// One tagged job between enqueue and finish.
-struct Flight {
-    /// A `cancel` asked for the job to be dropped at dequeue.
-    cancel_requested: bool,
-    /// The linked attempt of a hedge pair, and whether it has already
-    /// served.
-    link: Option<(u64, bool)>,
-}
-
-/// Every piece of per-request state the engine keeps for tagged
-/// (client-id) jobs, behind one lock. Sans-IO: the methods take the
-/// clock as an argument and return eviction counts for the caller to
-/// add to [`OutcomeCounters`].
-///
-/// Two bounded parts, because an `observe` job runs in flight under the
-/// very id whose prediction it reports on:
-/// - **in flight**: each tagged job from enqueue to finish, bounded by
-///   the shard queues. It holds the cancel state and the hedge link, so
-///   a link dies with the jobs it joins;
-/// - **outcome ring**: served predictions awaiting their `observe`,
-///   oldest first, bounded by `capacity` and `ttl`. Every unmatched
-///   eviction is counted as expired.
-pub(crate) struct RequestLedger {
-    flights: HashMap<u64, Flight>,
-    ring: VecDeque<(u64, Instant, Priced)>,
-    capacity: usize,
-    ttl: Duration,
-}
-
-impl RequestLedger {
-    pub(crate) fn new(capacity: usize, ttl: Duration) -> Self {
-        Self {
-            flights: HashMap::new(),
-            ring: VecDeque::new(),
-            capacity,
-            ttl,
-        }
-    }
-
-    /// Registers a tagged job before its push, so a cancel can never
-    /// slip between a queued job and its registration. A hedge links to
-    /// its primary when the primary is in flight and unpaired; when the
-    /// primary already finished (its reply was on the wire as the client
-    /// fired the hedge), the hedge starts pre-served, so its own serve
-    /// is deduplicated.
-    pub(crate) fn admit(&mut self, id: u64, hedge_of: Option<u64>) {
-        let mut link = None;
-        if let Some(primary) = hedge_of.filter(|&primary| primary != id) {
-            match self.flights.get_mut(&primary) {
-                None => link = Some((primary, true)),
-                Some(flight) if flight.link.is_none() => {
-                    flight.link = Some((id, false));
-                    link = Some((primary, false));
-                }
-                Some(_) => {}
-            }
-        }
-        self.flights.insert(
-            id,
-            Flight {
-                cancel_requested: false,
-                link,
-            },
-        );
-    }
-
-    /// Requests cancellation. True (`pending`) when the job is in flight
-    /// and not yet cancelled: it is dropped at dequeue or, if a worker
-    /// already picked it up, completes normally (the client discards
-    /// the reply either way). Anything else is `late`.
-    pub(crate) fn cancel(&mut self, id: u64) -> bool {
-        match self.flights.get_mut(&id) {
-            Some(flight) if !flight.cancel_requested => {
-                flight.cancel_requested = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The worker's check at dequeue: was the job cancelled while it
-    /// waited?
-    pub(crate) fn cancelled(&self, id: u64) -> bool {
-        self.flights.get(&id).is_some_and(|f| f.cancel_requested)
-    }
-
-    /// Retires a finished job or a shed push. `served` is the prediction
-    /// a successful predict served, `None` for an error or any other
-    /// reply. Returns whether the serve was the second of a hedge pair,
-    /// which the client already has a winner for and which per-model
-    /// stats and the outcome ring skip, and how many predictions the
-    /// ring evicted unmatched. A serve marks the linked partner as
-    /// served; any other finish dissolves the link, so the survivor
-    /// counts in full.
-    pub(crate) fn finish(&mut self, id: u64, served: Option<Priced>, now: Instant) -> (bool, u64) {
-        if let Some((partner, partner_served)) = self.flights.remove(&id).and_then(|f| f.link) {
-            if served.is_some() && partner_served {
-                return (true, 0);
-            }
-            if let Some(flight) = self.flights.get_mut(&partner) {
-                if flight.link.is_some_and(|(linked, _)| linked == id) {
-                    flight.link = served.is_some().then_some((id, true));
-                }
-            }
-        }
-        match served {
-            Some(priced) => (false, self.record(id, priced, now)),
-            None => (false, 0),
-        }
-    }
-
-    /// Appends a served prediction to the ring; returns the entries
-    /// evicted unmatched. With capacity 0 tracking is off and the
-    /// prediction itself counts as expired at once.
-    fn record(&mut self, id: u64, priced: Priced, now: Instant) -> u64 {
-        if self.capacity == 0 {
-            return 1;
-        }
-        let mut evicted = self.sweep(now);
-        if self.ring.len() >= self.capacity {
-            self.ring.pop_front();
-            evicted += 1;
-        }
-        self.ring.push_back((id, now, priced));
-        evicted
-    }
-
-    /// Consumes the oldest pending prediction with this id, returning it
-    /// (if any) and the entries the TTL evicted on the way. A second
-    /// `observe` for the same id finds nothing and is orphaned.
-    pub(crate) fn take(&mut self, id: u64, now: Instant) -> (Option<Priced>, u64) {
-        let evicted = self.sweep(now);
-        let at = self.ring.iter().position(|(pending, _, _)| *pending == id);
-        let entry = at.and_then(|at| self.ring.remove(at));
-        (entry.map(|(_, _, priced)| priced), evicted)
-    }
-
-    /// Predictions still awaiting an outcome: those younger than the
-    /// TTL. Evicts nothing, so reading the gauge changes no counter.
-    pub(crate) fn pending(&self, now: Instant) -> usize {
-        let live = |at: &Instant| now.duration_since(*at) <= self.ttl;
-        self.ring.iter().filter(|(_, at, _)| live(at)).count()
-    }
-
-    /// Drops entries older than the TTL off the front; returns how many.
-    fn sweep(&mut self, now: Instant) -> u64 {
-        let mut evicted = 0;
-        while let Some((_, at, _)) = self.ring.front() {
-            if now.duration_since(*at) <= self.ttl {
-                break;
-            }
-            self.ring.pop_front();
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 struct Job {
     request: Request,
     trace: Trace,
     tx: ReplySink,
-    /// Absolute expiry; a worker sheds the job at dequeue when the
-    /// deadline has already passed.
-    deadline: Option<Instant>,
+}
+
+/// The core and the condvars its shard workers wait on, behind one lock.
+struct State {
+    core: EngineCore<Job>,
+    /// One per core shard, by [`ShardId`].
+    wakers: Vec<Arc<Condvar>>,
 }
 
 pub(crate) struct Inner {
@@ -565,14 +410,10 @@ pub(crate) struct Inner {
     pub(crate) metrics: Metrics,
     pub(crate) model_metrics: ModelMetrics,
     pub(crate) config: ServiceConfig,
-    /// The shard serving non-predict commands and predicts whose model
-    /// cannot be resolved at submit time.
-    control: Arc<Shard<Job>>,
-    /// The per-model shard map. The inner `Arc<HashMap>` is immutable:
-    /// routing clones it under a brief read lock and looks up lock-free;
-    /// an admin `load` builds a new map and swaps the `Arc` in one
-    /// store, so readers always see a complete, consistent map.
-    shards: RwLock<Arc<HashMap<String, Arc<Shard<Job>>>>>,
+    /// Every queue, watermark, per-shard count and ledger entry.
+    state: Mutex<State>,
+    /// The core's clock starts here.
+    epoch: Instant,
     /// Worker join handles, control and model shards alike. On `Inner`
     /// (not the service) because `do_load` — which runs on a worker
     /// thread holding only `&Inner` — spawns workers for new shards.
@@ -581,14 +422,10 @@ pub(crate) struct Inner {
     /// `Arc<Inner>` they run under. Weak, or the engine would own
     /// itself and never drop.
     self_ref: OnceLock<Weak<Inner>>,
-    shutdown: AtomicBool,
     pub(crate) stages: StageSet,
     pub(crate) events: EventLog,
     pub(crate) robust: RobustnessCounters,
     pub(crate) health: ModelHealth,
-    /// Tagged jobs in flight (cancel state, hedge links) and served
-    /// predictions awaiting the client's `observe` report.
-    ledger: Mutex<RequestLedger>,
     /// Outcome-join accounting (matched / orphaned / expired / alarms).
     pub(crate) outcomes: OutcomeCounters,
     /// Per-model online residual windows and drift detectors.
@@ -596,69 +433,74 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// The current shard map (lock held only for the `Arc` clone).
-    fn shard_map(&self) -> Arc<HashMap<String, Arc<Shard<Job>>>> {
-        Arc::clone(&self.shards.read().unwrap_or_else(PoisonError::into_inner))
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The shard `request` waits in: the resolved model's shard for
-    /// predicts, the control shard for everything else — commands and
-    /// predicts that will fail model resolution (the worker produces
-    /// their error reply).
-    fn route(&self, request: &Request) -> Arc<Shard<Job>> {
-        if let Request::Predict { model, apps } = request {
-            if let Ok((name, _)) = resolve_model(&self.registry, model, apps.len()) {
-                if let Some(shard) = self.shard_map().get(&name) {
-                    return Arc::clone(shard);
-                }
-            }
-        }
-        Arc::clone(&self.control)
-    }
-
-    fn ledger(&self) -> std::sync::MutexGuard<'_, RequestLedger> {
-        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The core's clock.
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
     }
 
     /// Predictions currently awaiting their outcome report.
     pub(crate) fn pending_outcomes(&self) -> usize {
-        let now = Instant::now();
-        self.ledger().pending(now)
+        let now = self.now();
+        self.state().core.pending(now)
     }
 
     /// Per-shard snapshots: control first, then model shards by name.
     pub(crate) fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        let map = self.shard_map();
-        let mut snapshots = vec![self.control.snapshot()];
-        let mut models: Vec<_> = map.values().collect();
-        models.sort_by(|a, b| a.name().cmp(b.name()));
-        snapshots.extend(models.into_iter().map(|s| s.snapshot()));
-        snapshots
+        self.state().core.snapshots()
     }
 
     /// The shard reported by `stats model=<name>`: the model's own.
     fn shard_snapshot_for(&self, name: &str) -> Option<ShardSnapshot> {
-        self.shard_map().get(name).map(|s| s.snapshot())
+        let state = self.state();
+        state.core.shard(name).map(|id| state.core.snapshot(id))
     }
 
-    /// Guarantees a shard (with running workers) for `name`, swapping in
-    /// an extended map. Called at `load` time for newly registered
-    /// models; a no-op when the shard exists. Shards are never removed —
-    /// a model name, once served, keeps its queue accounting for the life
-    /// of the engine.
+    /// Guarantees a shard (with running workers) for `name`. Called at
+    /// start for every registered model and at `load` for new ones; a
+    /// no-op when the shard exists. The workers spawn under the core
+    /// lock, so a concurrent shutdown either joins them or finds the
+    /// core closed first.
     fn ensure_shard(&self, name: &str) {
-        let mut shards = self.shards.write().unwrap_or_else(PoisonError::into_inner);
-        if shards.contains_key(name) || self.shutdown.load(Ordering::Acquire) {
+        let mut state = self.state();
+        if state.core.shard(name).is_some() || state.core.is_closed() {
             return;
         }
         let Some(inner) = self.self_ref.get().and_then(Weak::upgrade) else {
             return; // tearing down: no new workers
         };
-        let shard = Arc::new(Shard::new(name, self.config.queue_capacity));
-        spawn_shard_workers(&inner, &shard);
-        let mut next = HashMap::clone(&shards);
-        next.insert(name.to_string(), shard);
-        *shards = Arc::new(next);
+        let shard = state.core.add_shard(name);
+        let waker = Arc::new(Condvar::new());
+        state.wakers.push(Arc::clone(&waker));
+        spawn_shard_workers(&inner, shard, name, &waker);
+    }
+
+    /// Blocks until `shard` has work or the core is closed and drained,
+    /// then takes one batch under the same lock hold: the cancel and
+    /// deadline checks ride on it. `None` is the worker-exit condition.
+    fn next_batch(&self, shard: ShardId, waker: &Condvar) -> Option<Vec<Taken<Job>>> {
+        let mut state = self.state();
+        loop {
+            let batch = state
+                .core
+                .take_batch(shard, self.config.batch_size, self.now());
+            if !batch.is_empty() {
+                return Some(batch);
+            }
+            if state.core.is_closed() {
+                return None;
+            }
+            state = waker.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Adds outcome-ring evictions to the expired counters.
+    fn count_evicted(&self, evicted: Evicted) {
+        self.outcomes.expired_ttl.add(evicted.ttl);
+        self.outcomes.expired_capacity.add(evicted.capacity);
     }
 }
 
@@ -691,33 +533,29 @@ impl PredictionService {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
-        let shards: HashMap<String, Arc<Shard<Job>>> = registry
-            .list()
-            .into_iter()
-            .map(|(name, _)| {
-                let shard = Arc::new(Shard::new(&name, config.queue_capacity));
-                (name, shard)
-            })
-            .collect();
+        let core = EngineCore::new(
+            config.queue_capacity,
+            config.brownout_low,
+            config.brownout_normal,
+            config.outcome_capacity,
+            config.outcome_ttl,
+        );
+        let control = Arc::new(Condvar::new());
+        let wakers = vec![Arc::clone(&control)];
         let inner = Arc::new(Inner {
             registry,
             platforms,
             cache: FeatureCache::with_capacity(config.cache_capacity),
             metrics: Metrics::new(),
             model_metrics: ModelMetrics::new(),
-            control: Arc::new(Shard::new(CONTROL_SHARD, config.queue_capacity)),
-            shards: RwLock::new(Arc::new(shards)),
+            state: Mutex::new(State { core, wakers }),
+            epoch: Instant::now(),
             handles: Mutex::new(Vec::new()),
             self_ref: OnceLock::new(),
-            shutdown: AtomicBool::new(false),
             stages: StageSet::new(),
             events: EventLog::new(config.event_log_capacity),
             robust: RobustnessCounters::default(),
             health: ModelHealth::new(),
-            ledger: Mutex::new(RequestLedger::new(
-                config.outcome_capacity,
-                config.outcome_ttl,
-            )),
             outcomes: OutcomeCounters::default(),
             trackers: OutcomeTrackers::new(config.drift_delta, config.drift_lambda),
             config,
@@ -726,9 +564,9 @@ impl PredictionService {
             .self_ref
             .set(Arc::downgrade(&inner))
             .expect("self_ref set once");
-        spawn_shard_workers(&inner, &inner.control.clone());
-        for shard in inner.shard_map().values() {
-            spawn_shard_workers(&inner, shard);
+        spawn_shard_workers(&inner, CONTROL, CONTROL_SHARD, &control);
+        for (name, _) in inner.registry.list() {
+            inner.ensure_shard(&name);
         }
         Arc::new(Self { inner })
     }
@@ -788,54 +626,56 @@ impl PredictionService {
         options: RequestOptions,
         tx: ReplySink,
     ) -> Result<(), ServeError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let RequestOptions {
-            deadline,
-            priority,
-            hedge_of,
-        } = options;
-        let deadline = deadline.map(|budget| Instant::now() + budget);
-        let shard = self.inner.route(&request);
-        // Brownout: under queue pressure, shed the lower classes before
-        // the hard capacity bound sheds everyone. Commands (stats,
-        // health, cancel, ...) are exempt — pressure is exactly when an
-        // operator needs them to answer.
-        if matches!(request, Request::Predict { .. }) {
-            if let Some(threshold) = brownout_threshold(&self.inner.config, priority) {
-                if shard.depth() >= threshold {
-                    self.inner.metrics.shed.inc();
-                    shard.counters().shed.inc();
-                    self.inner.robust.brownout_shed[priority.index()].inc();
-                    return Err(ServeError::Overloaded);
-                }
+        let inner = &*self.inner;
+        let now = inner.now();
+        // A predict resolves its model once, here: the name is its
+        // shard, and the worker serves whatever version that name
+        // holds at dequeue. Anything else waits in the control shard.
+        let (predict, model) = match &request {
+            Request::Predict { model, apps } => {
+                let resolved = resolve_model(&inner.registry, model, apps.len());
+                (true, resolved.ok().map(|(name, _)| name))
             }
-        }
-        // Admit before the push; a shed push rolls back.
-        if let Some(id) = tx.tag() {
-            self.inner.ledger().admit(id, hedge_of);
-        }
-        let job = Job {
-            request,
-            trace,
-            tx,
-            deadline,
+            _ => (false, None),
         };
-        // Count inside the shard's queue lock: a worker can pick the
-        // job up the moment the lock drops, and `stats` must already
+        let deadline = options.deadline.map(|budget| now + budget);
+        let tag = tx.tag();
+        let job = Job { request, trace, tx };
+        let mut state = inner.state();
+        let shard = model
+            .and_then(|name| state.core.shard(&name))
+            .unwrap_or(CONTROL);
+        let submit = Submit {
+            shard,
+            job,
+            tag,
+            priority: options.priority,
+            deadline,
+            hedge_of: options.hedge_of,
+            predict,
+        };
+        // The brownout check and the push are one decision under one
+        // hold, and `received` is counted inside it: a worker can take
+        // the job the moment the lock drops, and `stats` must already
         // see it.
-        match shard.try_push(job, || self.inner.metrics.received.inc()) {
-            Ok(()) => Ok(()),
-            Err(job) => {
-                if let Some(id) = job.tx.tag() {
-                    let now = Instant::now();
-                    self.inner.ledger().finish(id, None, now);
-                }
-                self.inner.metrics.shed.inc();
-                Err(ServeError::Overloaded)
+        let shed = match state.core.submit(submit, now) {
+            Ok(()) => {
+                inner.metrics.received.inc();
+                let waker = Arc::clone(&state.wakers[shard]);
+                drop(state);
+                waker.notify_one();
+                return Ok(());
             }
+            Err((_, shed)) => shed,
+        };
+        drop(state);
+        match shed {
+            Shed::ShuttingDown => return Err(ServeError::ShuttingDown),
+            Shed::Brownout(priority) => inner.robust.brownout_shed[priority.index()].inc(),
+            Shed::Full => {}
         }
+        inner.metrics.shed.inc();
+        Err(ServeError::Overloaded)
     }
 
     /// Server-side cancellation fast path (`cancel id=<req>` and the
@@ -934,10 +774,13 @@ impl PredictionService {
     /// Stops accepting work, drains the queue, and joins the workers.
     /// Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.control.notify_all();
-        for shard in self.inner.shard_map().values() {
-            shard.notify_all();
+        let wakers = {
+            let mut state = self.inner.state();
+            state.core.close();
+            state.wakers.clone()
+        };
+        for waker in &wakers {
+            waker.notify_all();
         }
         let mut handles = self
             .inner
@@ -962,14 +805,15 @@ impl Drop for PredictionService {
 
 /// Spawns [`ServiceConfig::workers`] threads draining one shard,
 /// registering their handles on `inner` for the shutdown join.
-fn spawn_shard_workers(inner: &Arc<Inner>, shard: &Arc<Shard<Job>>) {
+fn spawn_shard_workers(inner: &Arc<Inner>, shard: ShardId, name: &str, waker: &Arc<Condvar>) {
     let mut handles = inner.handles.lock().unwrap_or_else(PoisonError::into_inner);
     for index in 0..inner.config.workers {
         let inner = Arc::clone(inner);
-        let shard = Arc::clone(shard);
+        let waker = Arc::clone(waker);
+        let name = name.to_string();
         let handle = thread::Builder::new()
-            .name(format!("bagpred-worker-{}-{index}", shard.name()))
-            .spawn(move || supervise_worker(&inner, &shard))
+            .name(format!("bagpred-worker-{name}-{index}"))
+            .spawn(move || supervise_worker(&inner, shard, &name, &waker))
             .expect("spawn worker thread");
         handles.push(handle);
     }
@@ -979,32 +823,20 @@ fn spawn_shard_workers(inner: &Arc<Inner>, shard: &Arc<Shard<Job>>) {
 /// escapes batch isolation. Restarting *inside* the thread (instead of
 /// spawning a replacement) keeps the join handles on [`Inner`] valid
 /// for the lifetime of the service.
-fn supervise_worker(inner: &Inner, shard: &Shard<Job>) {
+fn supervise_worker(inner: &Inner, shard: ShardId, name: &str, waker: &Condvar) {
     loop {
-        match catch_unwind(AssertUnwindSafe(|| worker_loop(inner, shard))) {
+        match catch_unwind(AssertUnwindSafe(|| worker_loop(inner, shard, name, waker))) {
             // A clean return is the shutdown path.
             Ok(()) => return,
             Err(_) => {
                 // Queued jobs are untouched (the panic site holds no
-                // queue lock) and drained jobs were already answered by
-                // batch isolation; the fresh loop picks up where the
-                // dead one left off.
+                // lock) and drained jobs were already answered by batch
+                // isolation; the fresh loop picks up where the dead one
+                // left off.
                 inner.robust.worker_respawns.inc();
             }
         }
     }
-}
-
-/// The queue depth at which `priority` predicts are browned out, or
-/// `None` for classes that only shed at the hard capacity bound.
-fn brownout_threshold(config: &ServiceConfig, priority: Priority) -> Option<usize> {
-    let fraction = match priority {
-        Priority::High => return None,
-        Priority::Normal => config.brownout_normal,
-        Priority::Low => config.brownout_low,
-    };
-    let capacity = config.queue_capacity as f64;
-    Some(((capacity * fraction).ceil() as usize).max(1))
 }
 
 /// The cancel fast path shared by [`PredictionService::cancel`] and the
@@ -1017,7 +849,7 @@ fn do_cancel(inner: &Inner, id: u64) -> bool {
     if let Some(delay) = inner.config.faults.fire_delay(FaultSite::CancelRace, None) {
         thread::sleep(delay);
     }
-    let pending = inner.ledger().cancel(id);
+    let pending = inner.state().core.cancel(id);
     if !pending {
         inner.robust.cancel_late.inc();
     }
@@ -1025,62 +857,64 @@ fn do_cancel(inner: &Inner, id: u64) -> bool {
     pending
 }
 
-fn worker_loop(inner: &Inner, shard: &Shard<Job>) {
+/// One shard worker: takes a batch, runs it, settles it, until the core
+/// is closed and the shard drained.
+fn worker_loop(inner: &Inner, shard: ShardId, name: &str, waker: &Condvar) {
     loop {
         // Deterministic crash site for the respawn path. Firing before
-        // the queue lock is taken means no job is ever lost to it.
+        // the core lock is taken means no job is ever lost to it.
         if inner.config.faults.fire(FaultSite::WorkerAbort, None) {
             panic!("injected fault: worker abort");
         }
-        let Some(batch) = shard.pop_batch(inner.config.batch_size, &inner.shutdown) else {
+        let Some(batch) = inner.next_batch(shard, waker) else {
             return;
         };
-        process_batch(inner, shard, batch);
+        process_batch(inner, shard, name, batch);
     }
 }
 
-/// Completes one job: records global (and, when the request resolved to
-/// a model, per-model) metrics — end-to-end latency plus the queue-wait
-/// vs. service-time split — folds the trace into the per-stage
-/// histograms, captures a slow request when it crosses the threshold,
-/// and sends the outcome.
-fn finish(inner: &Inner, model: Option<&str>, job: Job, outcome: Outcome) {
-    // The job is done: a cancel from here on is `late`. A successful
-    // tagged predict is recorded for outcome joining: the client's
-    // request id is the key a later `observe` uses (direct in-process
-    // submitters have no id to join on). Hedge dedup: the second serve
-    // of a linked pair is a duplicate the client will discard, so it
-    // stays out of per-model stats and the outcome ring (its report
-    // joins as orphaned); global counters still see it, so conservation
-    // holds.
-    let deduped = job.tx.tag().is_some_and(|id| {
-        let served = match &outcome {
-            Ok(Reply::Prediction { model, predicted_s }) => Some(Priced {
-                model: model.clone(),
-                predicted_us: predicted_micros(*predicted_s),
-            }),
-            _ => None,
-        };
-        let now = Instant::now();
-        let (deduped, expired) = inner.ledger().finish(id, served, now);
-        inner.outcomes.expired.add(expired);
-        deduped
-    });
-    if deduped {
+/// Settles a run job in the core, then completes it. A successful
+/// tagged predict is recorded for outcome joining: the client's request
+/// id is the key a later `observe` uses (direct in-process submitters
+/// have no id to join on). Hedge dedup: the second serve of a linked
+/// pair is a duplicate the client will discard, so it stays out of
+/// per-model stats and the outcome ring (its report joins as orphaned);
+/// global counters still see it, so conservation holds.
+fn finish(inner: &Inner, shard: ShardId, model: Option<&str>, job: Job, outcome: Outcome) {
+    let tag = job.tx.tag();
+    let result = match &outcome {
+        Ok(Reply::Prediction { model, predicted_s }) if tag.is_some() => Finished::Served(Priced {
+            model: model.clone(),
+            predicted_us: predicted_micros(*predicted_s),
+        }),
+        Ok(_) => Finished::Ok,
+        Err(_) => Finished::Failed,
+    };
+    let now = inner.now();
+    let settled = inner.state().core.finish(shard, tag, result, now);
+    inner.count_evicted(settled.evicted);
+    if settled.deduped {
         inner.robust.hedge_deduped.inc();
     }
+    complete(inner, model, settled.deduped, job, outcome);
+}
+
+/// Completes one job: records global (and, when the request resolved to
+/// a model and was not a hedge duplicate, per-model) metrics —
+/// end-to-end latency plus the queue-wait vs. service-time split —
+/// folds the trace into the per-stage histograms, captures a slow
+/// request when it crosses the threshold, and sends the outcome.
+fn complete(inner: &Inner, model: Option<&str>, deduped: bool, job: Job, outcome: Outcome) {
     let total = job.trace.total();
     let queue_wait = job.trace.duration_of(Stage::QueueWait).unwrap_or_default();
     let parse = job.trace.duration_of(Stage::Parse).unwrap_or_default();
     let service = total.saturating_sub(queue_wait).saturating_sub(parse);
     inner.metrics.on_done(outcome.is_ok(), total);
     inner.metrics.on_phases(queue_wait, service);
-    if let Some(name) = model {
-        if !deduped {
-            let metrics = inner.model_metrics.for_model(name);
-            metrics.on_done(outcome.is_ok(), total);
-            metrics.on_phases(queue_wait, service);
-        }
+    if let Some(name) = model.filter(|_| !deduped) {
+        let metrics = inner.model_metrics.for_model(name);
+        metrics.on_done(outcome.is_ok(), total);
+        metrics.on_phases(queue_wait, service);
     }
     inner.stages.observe(&job.trace);
     if total >= inner.config.slow_request_threshold {
@@ -1147,37 +981,31 @@ fn summarize(request: &Request) -> String {
 /// more rows take the lane walk; smaller ones the pre-order walk).
 /// Non-predict requests and failed preparations complete individually.
 /// Predictions are bit-identical to the per-request path.
-fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
+fn process_batch(inner: &Inner, shard: ShardId, name: &str, batch: Vec<Taken<Job>>) {
     let mut pair_groups: Vec<ModelGroup<Measurement>> = Vec::new();
     let mut nbag_groups: Vec<ModelGroup<NBagMeasurement>> = Vec::new();
+    // A predict in a model shard resolved to that model at submit; one
+    // in the control shard did not, and resolves again here.
+    let resolved = (shard != CONTROL).then_some(name);
 
-    for mut job in jobs {
+    for Taken { mut job, fate, .. } in batch {
         // Everything between the submitter's last mark and this point
         // was spent queued (including the drain lock).
         job.trace.mark(Stage::QueueWait);
-        // Shed expired work before spending anything on it: the client
-        // has given up (or will the instant it checks), so a late reply
-        // only burns predict time other requests are queued behind.
-        if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            inner.robust.deadline_expired.inc();
-            shard.counters().shed.inc();
-            finish(inner, None, job, Err(ServeError::DeadlineExceeded));
+        // The core already dropped expired and cancelled work from the
+        // ledger: the client has given up on it (or a hedging client's
+        // other attempt won), so it is answered before predict spends
+        // anything on it.
+        let dropped = match fate {
+            Fate::Run => None,
+            Fate::Expired => Some((&inner.robust.deadline_expired, ServeError::DeadlineExceeded)),
+            Fate::Cancelled => Some((&inner.robust.cancelled, ServeError::Cancelled)),
+        };
+        if let Some((counter, err)) = dropped {
+            counter.inc();
+            complete(inner, None, false, job, Err(err));
             continue;
         }
-        // Same for cancelled work: the client (usually a hedging one
-        // whose other attempt already won) is not waiting for this
-        // reply, so drop it before predict spends anything on it.
-        if job.tx.tag().is_some_and(|id| inner.ledger().cancelled(id)) {
-            inner.robust.cancelled.inc();
-            shard.counters().shed.inc();
-            finish(inner, None, job, Err(ServeError::Cancelled));
-            continue;
-        }
-        // Attribute the wait to the queue the job actually sat in —
-        // this shard's — not to a notional shared queue.
-        shard
-            .counters()
-            .on_served(job.trace.duration_of(Stage::QueueWait).unwrap_or_default());
         let Request::Predict { model, apps } = &job.request else {
             let result = catch_unwind(AssertUnwindSafe(|| {
                 process(inner, &job.request, &mut job.trace)
@@ -1192,11 +1020,10 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
                     ))),
                 )
             });
-            finish(inner, served_by.as_deref(), job, outcome);
+            finish(inner, shard, served_by.as_deref(), job, outcome);
             continue;
         };
-        let (model, apps) = (model.clone(), apps.clone());
-        match prepare_predict(inner, &model, &apps, &mut job.trace) {
+        match prepare_predict(inner, resolved, model, apps, &mut job.trace) {
             Ok((name, model, PreparedRecord::Pair(record))) => {
                 match pair_groups.iter_mut().find(|(n, _, _, _)| *n == name) {
                     Some((_, _, jobs, records)) => {
@@ -1215,7 +1042,7 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
                     None => nbag_groups.push((name, model, vec![job], vec![(*record).clone()])),
                 }
             }
-            Err((served_by, err)) => finish(inner, served_by.as_deref(), job, Err(err)),
+            Err((served_by, err)) => finish(inner, shard, served_by.as_deref(), job, Err(err)),
         }
     }
 
@@ -1223,13 +1050,13 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
         let ServableModel::Pair(p) = &*model else {
             unreachable!("pair groups only hold pair models");
         };
-        finish_group(inner, &name, jobs, || p.predict_batch(&records));
+        finish_group(inner, shard, &name, jobs, || p.predict_batch(&records));
     }
     for (name, model, jobs, records) in nbag_groups {
         let ServableModel::NBag(p) = &*model else {
             unreachable!("n-bag groups only hold n-bag models");
         };
-        finish_group(inner, &name, jobs, || p.predict_batch(&records));
+        finish_group(inner, shard, &name, jobs, || p.predict_batch(&records));
     }
 }
 
@@ -1238,7 +1065,7 @@ fn process_batch(inner: &Inner, shard: &Shard<Job>, jobs: Vec<Job>) {
 /// with [`ServeError::Internal`] — every member gets a reply, the
 /// worker survives, and other models in the same drained batch are
 /// untouched. Consecutive panics quarantine the model.
-fn finish_group<F>(inner: &Inner, name: &str, mut jobs: Vec<Job>, predict: F)
+fn finish_group<F>(inner: &Inner, shard: ShardId, name: &str, mut jobs: Vec<Job>, predict: F)
 where
     F: FnOnce() -> Vec<f64>,
 {
@@ -1270,6 +1097,7 @@ where
                 job.trace.mark_for(Stage::Predict, predict_elapsed);
                 finish(
                     inner,
+                    shard,
                     Some(name),
                     job,
                     Ok(Reply::Prediction {
@@ -1303,7 +1131,7 @@ where
             ));
             for mut job in jobs {
                 job.trace.mark_for(Stage::Predict, predict_elapsed);
-                finish(inner, Some(name), job, Err(err.clone()));
+                finish(inner, shard, Some(name), job, Err(err.clone()));
             }
         }
     }
@@ -1324,26 +1152,7 @@ fn resolve_model(
             .ok_or_else(|| ServeError::UnknownModel(name.clone()))?;
         return Ok((name.clone(), model));
     }
-    let names: Vec<String> = registry.list().into_iter().map(|(n, _)| n).collect();
-    let mut pair_default = None;
-    let mut nbag_default = None;
-    for candidate in names {
-        if let Some(model) = registry.get(&candidate) {
-            match (&*model, &pair_default) {
-                (ServableModel::Pair(_), None) => pair_default = Some((candidate, model)),
-                (ServableModel::NBag(_), _) if nbag_default.is_none() => {
-                    nbag_default = Some((candidate, model))
-                }
-                _ => {}
-            }
-        }
-    }
-    let picked = if arity == 2 {
-        pair_default.or(nbag_default)
-    } else {
-        nbag_default
-    };
-    picked.ok_or_else(|| {
+    registry.default_for(arity).ok_or_else(|| {
         ServeError::UnknownModel(format!("<no registered model serves {arity}-app bags>"))
     })
 }
@@ -1364,12 +1173,15 @@ enum PreparedRecord {
 /// that model's metrics, not lost.
 type PrepareError = (Option<String>, ServeError);
 
-/// Validates a predict request, resolves its model, counts the request
-/// against the resolved model's metrics, and collects its features —
-/// everything except the model walk itself, which [`process_batch`]
-/// performs once per model group.
+/// Validates a predict request, fetches its model, counts the request
+/// against that model's metrics, and collects its features — everything
+/// except the model walk itself, which [`process_batch`] performs once
+/// per model group. `resolved` is the model name the submit resolved
+/// (the job's shard); a predict without one resolves here, which fails
+/// with the reply the client gets.
 fn prepare_predict(
     inner: &Inner,
+    resolved: Option<&str>,
     model: &Option<String>,
     apps: &[Workload],
     trace: &mut Trace,
@@ -1383,7 +1195,11 @@ fn prepare_predict(
             )),
         ));
     }
-    let (name, model) = resolve_model(&inner.registry, model, apps.len()).map_err(|e| (None, e))?;
+    let resolved = resolved.and_then(|name| Some((name.to_string(), inner.registry.get(name)?)));
+    let (name, model) = match resolved {
+        Some(resolved) => resolved,
+        None => resolve_model(&inner.registry, model, apps.len()).map_err(|e| (None, e))?,
+    };
     inner.model_metrics.for_model(&name).received.inc();
     // Fence quarantined models *before* feature collection: the request
     // is counted against the model (operators see the refused traffic)
@@ -1486,13 +1302,7 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
                 .into_iter()
                 .map(|(name, _)| inner.health.report_for(&name))
                 .collect();
-            let map = inner.shard_map();
-            let max_depth = map
-                .values()
-                .map(|s| s.depth())
-                .chain(std::iter::once(inner.control.depth()))
-                .max()
-                .unwrap_or(0);
+            let max_depth = inner.state().core.max_depth();
             let pressure = BrownoutPressure {
                 shed: inner.robust.brownout_shed.each_ref().map(Counter::get),
                 max_depth,
@@ -1508,9 +1318,9 @@ fn process(inner: &Inner, request: &Request, trace: &mut Trace) -> (Option<Strin
         ),
         Request::Trace => (None, Ok(Reply::Traces(inner.events.dump()))),
         Request::Observe { id, actual_us } => {
-            let now = Instant::now();
-            let (entry, expired) = inner.ledger().take(*id, now);
-            inner.outcomes.expired.add(expired);
+            let now = inner.now();
+            let (entry, evicted) = inner.state().core.observe(*id, now);
+            inner.count_evicted(evicted);
             let Some(pending) = entry else {
                 inner.outcomes.orphaned.inc();
                 return (None, Ok(Reply::Observed { matched: false }));
@@ -1634,8 +1444,8 @@ fn do_load(inner: &Inner, name: &str, path: &str) -> Outcome {
         tracker.reset_detector();
     }
     // A newly registered model gets its own shard (queue + workers),
-    // installed by atomically swapping the shard map — in-flight
-    // routing sees either the old complete map or the new one.
+    // added to the core under its lock — a submit routes either before
+    // the shard exists (to the control shard) or after, into it.
     inner.ensure_shard(name);
     Ok(Reply::Loaded {
         model: name.into(),
@@ -1723,6 +1533,7 @@ fn do_reload(inner: &Inner, name: &str, path: Option<&str>) -> Outcome {
 mod tests {
     use super::*;
     use crate::bootstrap::{NBAG_MODEL, PAIR_MODEL};
+    use crate::metrics::Priority;
     use crate::testutil::{self, pair_apps, pin_worker, pinnable_service};
     use bagpred_workloads::Benchmark;
 
@@ -2571,7 +2382,7 @@ mod tests {
 
         assert_eq!(service.outcomes().matched(), 1);
         assert_eq!(service.outcomes().orphaned(), 3);
-        assert_eq!(service.outcomes().expired.get(), 0);
+        assert_eq!(service.outcomes().expired(), 0);
         let tracker = service
             .outcome_trackers()
             .get(PAIR_MODEL)
@@ -2603,7 +2414,8 @@ mod tests {
         let _us2 = tagged_predict_us(&service, 2);
         let _us3 = tagged_predict_us(&service, 3);
         // Capacity 2: recording id 3 evicted the oldest entry (id 1).
-        assert_eq!(service.outcomes().expired.get(), 1);
+        assert_eq!(service.outcomes().expired(), 1);
+        assert_eq!(service.outcomes().expired_capacity.get(), 1);
         assert!(!observe(&service, 1, us1), "evicted id is orphaned");
         assert!(observe(&service, 2, us1));
         assert!(observe(&service, 3, us1));
@@ -2629,7 +2441,8 @@ mod tests {
             "an expired entry is not pending"
         );
         assert!(!observe(&service, 4, us), "expired id is orphaned");
-        assert_eq!(service.outcomes().expired.get(), 1);
+        assert_eq!(service.outcomes().expired(), 1);
+        assert_eq!(service.outcomes().expired_ttl.get(), 1);
         assert_eq!(service.outcomes().orphaned(), 1);
         service.shutdown();
 
@@ -2644,7 +2457,7 @@ mod tests {
             },
         );
         let us = tagged_predict_us(&service, 5);
-        assert_eq!(service.outcomes().expired.get(), 1);
+        assert_eq!(service.outcomes().expired(), 1);
         assert!(!observe(&service, 5, us));
         service.shutdown();
     }
@@ -2951,44 +2764,6 @@ mod tests {
     }
 
     #[test]
-    fn hedge_dedup_holds_past_a_thousand_open_pairs() {
-        // More pairs open at once than any fixed cap on the ledger: all
-        // of them queue behind the pinned worker before any serves.
-        const PAIRS: u64 = 1025;
-        let service = pinnable_service(400, 4096);
-        let blocker = pin_worker(&service);
-        let predict = Request::Predict {
-            model: Some(PAIR_MODEL.into()),
-            apps: pair_apps(),
-        };
-        let (tx, rx) = mpsc::channel();
-        let primaries = (1..=PAIRS).map(|id| (id, None));
-        let hedges = (1..=PAIRS).map(|primary| (PAIRS + primary, Some(primary)));
-        for (id, hedge_of) in primaries.chain(hedges) {
-            let options = RequestOptions {
-                hedge_of,
-                ..RequestOptions::default()
-            };
-            service
-                .submit_tagged(predict.clone(), Trace::new(), options, id, tx.clone())
-                .expect("queues behind the blocker");
-        }
-        blocker.recv().expect("blocker finishes").expect("predicts");
-        for _ in 0..2 * PAIRS {
-            let (_, outcome) = rx.recv().expect("every attempt answers");
-            outcome.expect("every attempt predicts");
-        }
-        // Every primary serves before its hedge, so every hedge is its
-        // pair's second serve: per-model stats count each logical
-        // request once, plus the blocker.
-        assert_eq!(service.inner.robust.hedge_deduped.get(), PAIRS);
-        let snap = service.model_metrics().for_model(PAIR_MODEL).snapshot();
-        assert_eq!(snap.received, 1 + 2 * PAIRS);
-        assert_eq!(snap.succeeded, 1 + PAIRS);
-        service.shutdown();
-    }
-
-    #[test]
     fn brownout_sheds_low_before_normal_before_high() {
         // Capacity 4: low sheds from depth 2, normal from 3, high only
         // at the hard bound.
@@ -3109,260 +2884,6 @@ mod tests {
                 // already picked the job up; it never over-counts.
                 prop_assert!(service.inner.robust.cancelled.get() <= pending_cancels);
                 service.shutdown();
-            }
-        }
-    }
-
-    mod ledger_model {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// A hedge link: the partner's id and whether it has served.
-        type Link = Option<(u64, bool)>;
-
-        /// The reference for [`RequestLedger`]: vectors and linear
-        /// scans, one rule per answer.
-        struct Reference {
-            capacity: usize,
-            ttl: Duration,
-            /// In flight: id, cancel requested, linked partner and
-            /// whether the partner has served.
-            flights: Vec<(u64, bool, Link)>,
-            /// Served predictions, oldest first: id, recorded at, price.
-            ring: Vec<(u64, Instant, u64)>,
-        }
-
-        impl Reference {
-            fn find(&self, id: u64) -> Option<usize> {
-                self.flights.iter().position(|f| f.0 == id)
-            }
-
-            fn admit(&mut self, id: u64, hedge_of: Option<u64>) {
-                let mut link = None;
-                if let Some(primary) = hedge_of.filter(|&p| p != id) {
-                    match self.find(primary) {
-                        // The primary already finished: pre-served.
-                        None => link = Some((primary, true)),
-                        Some(at) if self.flights[at].2.is_none() => {
-                            self.flights[at].2 = Some((id, false));
-                            link = Some((primary, false));
-                        }
-                        // Already paired: this attempt counts alone.
-                        Some(_) => {}
-                    }
-                }
-                self.flights.retain(|f| f.0 != id);
-                self.flights.push((id, false, link));
-            }
-
-            fn cancel(&mut self, id: u64) -> bool {
-                match self.find(id) {
-                    Some(at) if !self.flights[at].1 => {
-                        self.flights[at].1 = true;
-                        true
-                    }
-                    _ => false,
-                }
-            }
-
-            fn cancelled(&self, id: u64) -> bool {
-                self.find(id).is_some_and(|at| self.flights[at].1)
-            }
-
-            /// `price` is `Some` for a served prediction, `None` for a
-            /// failure, a shed or any other reply.
-            fn finish(&mut self, id: u64, price: Option<u64>, now: Instant) -> (bool, u64) {
-                let link = self.find(id).and_then(|at| self.flights.remove(at).2);
-                if let Some((partner, partner_served)) = link {
-                    if price.is_some() && partner_served {
-                        return (true, 0);
-                    }
-                    for flight in &mut self.flights {
-                        if flight.0 == partner && flight.2.is_some_and(|(p, _)| p == id) {
-                            flight.2 = price.map(|_| (id, true));
-                        }
-                    }
-                }
-                let Some(price) = price else {
-                    return (false, 0);
-                };
-                if self.capacity == 0 {
-                    return (false, 1);
-                }
-                let mut evicted = self.expire(now);
-                if self.ring.len() >= self.capacity {
-                    self.ring.remove(0);
-                    evicted += 1;
-                }
-                self.ring.push((id, now, price));
-                (false, evicted)
-            }
-
-            fn expire(&mut self, now: Instant) -> u64 {
-                let before = self.ring.len();
-                self.ring.retain(|e| now - e.1 <= self.ttl);
-                (before - self.ring.len()) as u64
-            }
-
-            fn take(&mut self, id: u64, now: Instant) -> (Option<u64>, u64) {
-                let evicted = self.expire(now);
-                let at = self.ring.iter().position(|e| e.0 == id);
-                (at.map(|at| self.ring.remove(at).2), evicted)
-            }
-
-            fn pending(&self, now: Instant) -> usize {
-                self.ring.iter().filter(|e| now - e.1 <= self.ttl).count()
-            }
-        }
-
-        #[derive(Debug, Clone, Copy)]
-        enum Op {
-            Admit {
-                id: u64,
-                hedge_of: Option<u64>,
-            },
-            /// Admit, then roll back: the push was shed.
-            Shed {
-                id: u64,
-                hedge_of: Option<u64>,
-            },
-            Dequeue(u64),
-            Serve(u64),
-            Fail(u64),
-            Cancel(u64),
-            /// `tagged`: the observe itself runs in flight under the id
-            /// it reports on, as a binary `Outcome` frame does.
-            Observe {
-                id: u64,
-                tagged: bool,
-            },
-            AdvanceMs(u64),
-        }
-
-        impl Op {
-            /// One generated word as an op over a three-id pool, so ids
-            /// repeat, hedges find their primaries, and reports find
-            /// (or miss) their predictions. Admits and serves are
-            /// weighted up so hedge pairs form, finish and re-form.
-            fn decode(word: u64) -> Op {
-                let id = (word >> 8) % 3;
-                let other = (word >> 16) % 4;
-                let hedge_of = (other < 3).then_some(other);
-                match word % 16 {
-                    0..=3 => Op::Admit { id, hedge_of },
-                    4 => Op::Shed { id, hedge_of },
-                    5 => Op::Dequeue(id),
-                    6..=8 => Op::Serve(id),
-                    9 | 10 => Op::Fail(id),
-                    11 => Op::Cancel(id),
-                    12 | 13 => Op::Observe {
-                        id,
-                        tagged: word >> 63 == 1,
-                    },
-                    _ => Op::AdvanceMs(other + 1),
-                }
-            }
-        }
-
-        /// Applies `ops` to a ledger and the reference side by side,
-        /// comparing every answer (eviction counts included) and the
-        /// pending gauge after every step.
-        fn check(capacity: usize, ttl: Duration, ops: &[Op]) -> Result<(), String> {
-            let mut now = Instant::now();
-            let mut ledger = RequestLedger::new(capacity, ttl);
-            let mut model = Reference {
-                capacity,
-                ttl,
-                flights: Vec::new(),
-                ring: Vec::new(),
-            };
-            let priced = |price: u64| Priced {
-                model: PAIR_MODEL.into(),
-                predicted_us: price,
-            };
-            let took =
-                |(entry, evicted): (Option<Priced>, u64)| (entry.map(|p| p.predicted_us), evicted);
-            for (step, &op) in ops.iter().enumerate() {
-                let price = step as u64 + 1;
-                let (got, want) = match op {
-                    Op::Admit { id, hedge_of } => {
-                        ledger.admit(id, hedge_of);
-                        model.admit(id, hedge_of);
-                        (String::new(), String::new())
-                    }
-                    Op::Shed { id, hedge_of } => {
-                        ledger.admit(id, hedge_of);
-                        model.admit(id, hedge_of);
-                        let got = ledger.finish(id, None, now);
-                        let want = model.finish(id, None, now);
-                        (format!("{got:?}"), format!("{want:?}"))
-                    }
-                    Op::Dequeue(id) => (
-                        format!("{:?}", ledger.cancelled(id)),
-                        format!("{:?}", model.cancelled(id)),
-                    ),
-                    Op::Serve(id) => {
-                        let got = ledger.finish(id, Some(priced(price)), now);
-                        let want = model.finish(id, Some(price), now);
-                        (format!("{got:?}"), format!("{want:?}"))
-                    }
-                    Op::Fail(id) => (
-                        format!("{:?}", ledger.finish(id, None, now)),
-                        format!("{:?}", model.finish(id, None, now)),
-                    ),
-                    Op::Cancel(id) => (
-                        format!("{:?}", ledger.cancel(id)),
-                        format!("{:?}", model.cancel(id)),
-                    ),
-                    Op::Observe { id, tagged } => {
-                        if tagged {
-                            ledger.admit(id, None);
-                            model.admit(id, None);
-                        }
-                        let got = took(ledger.take(id, now));
-                        let want = model.take(id, now);
-                        // A tagged observe then retires its own entry.
-                        let got_done = tagged.then(|| ledger.finish(id, None, now));
-                        let want_done = tagged.then(|| model.finish(id, None, now));
-                        (
-                            format!("{got:?} {got_done:?}"),
-                            format!("{want:?} {want_done:?}"),
-                        )
-                    }
-                    Op::AdvanceMs(ms) => {
-                        now += Duration::from_millis(ms);
-                        (String::new(), String::new())
-                    }
-                };
-                let (got_pending, want_pending) = (ledger.pending(now), model.pending(now));
-                if got != want || got_pending != want_pending {
-                    return Err(format!(
-                        "capacity={capacity} ttl={ttl:?} step {step} {op:?}: ledger {got} \
-                         pending={got_pending}, reference {want} pending={want_pending}\n\
-                         ops: {ops:?}"
-                    ));
-                }
-            }
-            Ok(())
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(1024))]
-            /// The ledger agrees with the reference on every answer of
-            /// every generated op sequence: tracking off (capacity 0),
-            /// a ring smaller than the open requests (capacity 2), and
-            /// a TTL shorter than some clock steps (3 ms against steps
-            /// of 1-4 ms). No shrinking: a failure prints the case
-            /// index and the whole op list.
-            #[test]
-            fn ledger_matches_the_reference_model(
-                words in proptest::collection::vec(any::<u64>(), 1..100)
-            ) {
-                let ops: Vec<Op> = words.into_iter().map(Op::decode).collect();
-                let minute = Duration::from_secs(60);
-                for (capacity, ttl) in [(0, minute), (2, minute), (4, Duration::from_millis(3))] {
-                    check(capacity, ttl, &ops)?;
-                }
             }
         }
     }

@@ -70,6 +70,8 @@ pub mod admission;
 pub mod bootstrap;
 pub mod cache;
 pub mod client;
+#[doc(hidden)]
+pub mod core;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -78,7 +80,6 @@ pub mod metrics;
 pub(crate) mod observe;
 pub mod protocol;
 pub mod server;
-pub(crate) mod shard;
 pub mod snapshot;
 
 pub use admission::{AdmissionPolicy, GpuAssignment, Placement};

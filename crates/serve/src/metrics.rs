@@ -219,48 +219,6 @@ impl ModelMetrics {
     }
 }
 
-/// Lock-free accounting for one engine shard (per-model queue + worker
-/// set). Distinct from the per-model [`Metrics`] entry: that one tracks
-/// request outcomes by model *name* across reloads, while these track
-/// the queue the job actually waited in.
-#[derive(Debug, Default)]
-pub struct ShardCounters {
-    /// Jobs accepted into this shard's queue.
-    pub enqueued: Counter,
-    served: Counter,
-    /// Jobs this shard refused at enqueue (queue full or a brownout
-    /// watermark) or dropped at dequeue (deadline passed or cancelled).
-    pub shed: Counter,
-    queue_wait: LogHistogram,
-}
-
-impl ShardCounters {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts a job drained and answered by this shard's workers, and
-    /// records how long it sat in *this* shard's queue.
-    pub fn on_served(&self, queue_wait: Duration) {
-        self.served.inc();
-        self.queue_wait.record_duration(queue_wait);
-    }
-
-    /// A point-in-time summary; `name` and `queue_depth` come from the
-    /// shard itself (depth needs its queue lock, not held here).
-    pub fn snapshot(&self, name: &str, queue_depth: usize) -> ShardSnapshot {
-        ShardSnapshot {
-            name: name.to_string(),
-            queue_depth,
-            enqueued: self.enqueued.get(),
-            served: self.served.get(),
-            shed: self.shed.get(),
-            queue_wait: LatencySummary::of(&self.queue_wait.snapshot()),
-        }
-    }
-}
-
 /// Point-in-time view of one shard, reported by `stats`
 /// (and per model by `stats model=<name>`).
 #[derive(Debug, Clone, PartialEq)]
@@ -397,8 +355,12 @@ pub struct OutcomeCounters {
     /// Outcomes whose id had no pending prediction (unknown, duplicate,
     /// or already evicted).
     pub orphaned: Counter,
-    /// Pending predictions evicted unmatched (TTL or capacity).
-    pub expired: Counter,
+    /// Pending predictions evicted unmatched because they outlived the
+    /// TTL.
+    pub expired_ttl: Counter,
+    /// Pending predictions evicted unmatched by a full ring (or refused
+    /// by a ring of capacity 0).
+    pub expired_capacity: Counter,
     /// Drift alarm edges (a model newly flagged as drifting).
     pub drift_alarms: Counter,
 }
@@ -412,6 +374,11 @@ impl OutcomeCounters {
     /// Outcomes that found no pending prediction so far.
     pub fn orphaned(&self) -> u64 {
         self.orphaned.get()
+    }
+
+    /// Pending predictions evicted unmatched so far, by either cause.
+    pub fn expired(&self) -> u64 {
+        self.expired_ttl.get() + self.expired_capacity.get()
     }
 }
 

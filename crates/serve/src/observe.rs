@@ -143,7 +143,7 @@ impl Signal {
 /// the `stats` key, the exposition family and its type, the reader (whose
 /// variant fixes the family's label) and the `# HELP` text, one row each.
 #[rustfmt::skip]
-static SIGNALS: [Signal; 36] = [
+static SIGNALS: [Signal; 38] = [
     Signal { key: "requests", name: "bagpred_requests_received_total",
         kind: Kind::Counter, read: One(|s| s.metrics.received),
         help: "Requests accepted into the queue." },
@@ -212,8 +212,14 @@ static SIGNALS: [Signal; 36] = [
         kind: Kind::Counter, read: One(|s| s.inner.outcomes.orphaned.get()),
         help: "Outcome reports whose request id had no pending prediction." },
     Signal { key: "outcomes_expired", name: "bagpred_outcomes_expired_total",
-        kind: Kind::Counter, read: One(|s| s.inner.outcomes.expired.get()),
+        kind: Kind::Counter, read: One(|s| s.inner.outcomes.expired()),
         help: "Recorded predictions evicted unmatched (TTL or ring capacity)." },
+    Signal { key: "outcomes_expired_ttl", name: "bagpred_outcomes_expired_ttl_total",
+        kind: Kind::Counter, read: One(|s| s.inner.outcomes.expired_ttl.get()),
+        help: "Recorded predictions evicted unmatched because they outlived the outcome TTL." },
+    Signal { key: "outcomes_expired_capacity", name: "bagpred_outcomes_expired_capacity_total",
+        kind: Kind::Counter, read: One(|s| s.inner.outcomes.expired_capacity.get()),
+        help: "Recorded predictions evicted unmatched by a full outcome ring." },
     Signal { key: "outcomes_pending", name: "bagpred_outcomes_pending",
         kind: Kind::Gauge, read: One(|s| s.inner.pending_outcomes() as u64),
         help: "Served predictions currently awaiting their outcome report." },

@@ -920,9 +920,14 @@ mod tests {
         let line = format_outcome(&Ok(Reply::ModelStats {
             model: "pair-tree".into(),
             metrics: Box::new(crate::Metrics::new().snapshot()),
-            shard: Some(Box::new(
-                crate::metrics::ShardCounters::new().snapshot("pair-tree", 3),
-            )),
+            shard: Some(Box::new(crate::metrics::ShardSnapshot {
+                name: "pair-tree".into(),
+                queue_depth: 3,
+                enqueued: 0,
+                served: 0,
+                shed: 0,
+                queue_wait: crate::LatencySummary::default(),
+            })),
         }));
         assert!(
             line.contains("shard=pair-tree shard_depth=3 shard_enqueued=0"),

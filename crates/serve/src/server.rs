@@ -54,7 +54,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -480,19 +480,22 @@ fn handle_connection(
         None => return Ok(()), // EOF or stop before any byte arrived
         Some(byte) => byte == frame::MAGIC[0],
     };
+    let backlog = Backlog::default();
     let served = thread::scope(|scope| {
         let mut conn = Conn {
             service,
             config,
             writer: &writer,
             tag: CONN_SEQ.fetch_add(1, Ordering::Relaxed) & WIRE_ID_MASK,
-            tagged: binary.then(|| spawn_writer(scope, &writer, service)),
+            tagged: binary.then(|| spawn_writer(scope, &writer, &backlog, service)),
+            backlog: &backlog,
         };
         // Returning drops `conn` and with it the reader's sender, which
         // lets the writer drain: the engine-held clones drop as
         // in-flight jobs finish, the channel closes, and the writer
         // exits after forwarding every reply; the scope joins it.
         loop {
+            backlog.wait_below_cap(stop);
             match conn.codec().read(&mut reader, stop)? {
                 Incoming::Request(request) => {
                     if !conn.dispatch(request)? {
@@ -507,7 +510,7 @@ fn handle_connection(
                     // A server without binary support would answer
                     // `err ...`, which the client takes as "stay on text".
                     (&writer).write_all(format!("{}\n", frame::HELLO_BINARY_OK).as_bytes())?;
-                    conn.tagged = Some(spawn_writer(scope, &writer, service));
+                    conn.tagged = Some(spawn_writer(scope, &writer, &backlog, service));
                 }
                 Incoming::Fatal(outcome) => {
                     conn.reply(0, outcome)?;
@@ -748,6 +751,8 @@ struct Conn<'a> {
     tag: u64,
     /// The writer thread's channel, once the connection speaks binary.
     tagged: Option<mpsc::Sender<(u64, Outcome)>>,
+    /// Replies handed to the writer thread and not yet written.
+    backlog: &'a Backlog,
 }
 
 impl Conn<'_> {
@@ -858,10 +863,17 @@ impl Conn<'_> {
         }
         options.hedge_of = options.hedge_of.map(|id| namespaced(self.tag, id));
         if let Some(tx) = &self.tagged {
+            // Counted before the hand-off: the engine may answer, and the
+            // writer uncount it, before `submit_tagged` returns. A shed is
+            // the same one reply, sent from here.
+            self.backlog.add();
             let submitted = self
                 .service
                 .submit_tagged(request, trace, options, tag, tx.clone());
-            return submitted.or_else(|err| self.reply(tag, Err(err)));
+            if let Err(err) = submitted {
+                let _ = tx.send((tag, Err(err)));
+            }
+            return Ok(());
         }
         let outcome = self
             .service
@@ -876,10 +888,50 @@ impl Conn<'_> {
     fn reply(&self, tag: u64, outcome: Outcome) -> io::Result<()> {
         match &self.tagged {
             Some(tx) => {
+                self.backlog.add();
                 let _ = tx.send((tag, outcome));
                 Ok(())
             }
             None => write_reply(Codec::Text, self.writer, tag, outcome, self.service),
+        }
+    }
+}
+
+/// The most replies a binary connection holds unwritten before its
+/// reader stops reading. A client that pipelines requests but never
+/// reads its replies parks the writer for up to the write timeout; the
+/// replies answered meanwhile (sheds and errors need no queueing) would
+/// otherwise pile up without bound in server memory.
+const MAX_UNWRITTEN: usize = 1024;
+
+/// Replies handed to one binary connection's writer thread and not yet
+/// written. The reader counts each reply it causes before the hand-off
+/// (an engine submission answers exactly once); the writer uncounts it
+/// once written. Engine workers never wait on it.
+#[derive(Default)]
+struct Backlog {
+    unwritten: AtomicUsize,
+    /// Set when the writer stops: nothing waits on a dead writer.
+    closed: AtomicBool,
+}
+
+impl Backlog {
+    fn add(&self) {
+        self.unwritten.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn written(&self) {
+        self.unwritten.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Blocks the reader while more than [`MAX_UNWRITTEN`] replies wait,
+    /// until the writer catches up, stops, or the server stops.
+    fn wait_below_cap(&self, stop: &AtomicBool) {
+        while self.unwritten.load(Ordering::Acquire) > MAX_UNWRITTEN
+            && !self.closed.load(Ordering::Acquire)
+            && !stop.load(Ordering::Acquire)
+        {
+            thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -889,6 +941,7 @@ impl Conn<'_> {
 fn spawn_writer<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
     writer: &'env TcpStream,
+    backlog: &'env Backlog,
     service: &'env PredictionService,
 ) -> mpsc::Sender<(u64, Outcome)> {
     let (tx, rx) = mpsc::channel::<(u64, Outcome)>();
@@ -898,8 +951,10 @@ fn spawn_writer<'scope, 'env>(
             // (the frame would be torn anyway): stop forwarding and let
             // the remaining replies drain into the closed channel.
             if write_reply(Codec::Binary, writer, tag, outcome, service).is_err() {
+                backlog.closed.store(true, Ordering::Release);
                 return;
             }
+            backlog.written();
         }
     });
     tx
@@ -1362,6 +1417,43 @@ mod tests {
             "drain must not hang on a non-reading client"
         );
         drop(flooder.join());
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_non_reading_binary_flood_stops_the_reader_at_the_backlog_cap() {
+        // Frames with an unknown opcode are answered inline, without
+        // queueing, so only the reply backlog bounds what the server
+        // holds for a client that never reads: once it passes the cap
+        // the reader stops reading, and the client's writes stall long
+        // before it has sent every frame.
+        let service = PredictionService::start(
+            Arc::new(crate::ModelRegistry::new()),
+            Platforms::paper(),
+            ServiceConfig::default(),
+        );
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).expect("binds");
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        stream
+            .set_write_timeout(Some(Duration::from_millis(500)))
+            .expect("sets timeout");
+        let mut burst = Vec::new();
+        for id in 1..=4096u64 {
+            let mut body = vec![0x7F];
+            body.extend_from_slice(&id.to_le_bytes());
+            body.extend_from_slice(&0u16.to_le_bytes());
+            burst.extend_from_slice(&frame::MAGIC);
+            burst.push(frame::VERSION);
+            burst.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            burst.extend_from_slice(&body);
+        }
+        // 4M frames: ~70 MB of requests, far beyond any socket buffers.
+        let sent = (0..1024)
+            .take_while(|_| (&stream).write_all(&burst).is_ok())
+            .count();
+        assert!(sent < 1024, "the server read all {} frames", 1024 * 4096);
+        drop(stream);
+        shutdown_within(server, Duration::from_secs(10));
         service.shutdown();
     }
 

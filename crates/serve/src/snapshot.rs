@@ -298,6 +298,26 @@ impl ModelRegistry {
             .cloned()
     }
 
+    /// The model a request that names none is served by: for a pair
+    /// (`arity` 2) the first pair model by name, else the first n-bag
+    /// model; for larger bags the first n-bag model. One pass under the
+    /// read lock.
+    pub fn default_for(&self, arity: usize) -> Option<(String, Arc<ServableModel>)> {
+        let models = self.models.read().expect("registry lock poisoned");
+        let first = |pair: bool| {
+            models
+                .iter()
+                .filter(|(_, model)| matches!(&***model, ServableModel::Pair(_)) == pair)
+                .min_by(|a, b| a.0.cmp(b.0))
+                .map(|(name, model)| (name.clone(), Arc::clone(model)))
+        };
+        if arity == 2 {
+            first(true).or_else(|| first(false))
+        } else {
+            first(false)
+        }
+    }
+
     /// Registered names with their descriptions, sorted by name.
     pub fn list(&self) -> Vec<(String, String)> {
         let mut entries: Vec<(String, String)> = self

@@ -197,18 +197,27 @@ timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
   server::tests::binary_cancel_opcode_answers_inline_and_late_after_the_reply \
   metrics::tests::brownout_and_cancel_counters_track_per_class
 
-echo "== request ledger: reference model + uncapped hedge dedup (bounded at 300s) =="
-# The request ledger's invariants, run by name so they can never be
-# silently filtered out: every generated sequence of admits, hedges,
-# sheds, dequeues, serves, failures, cancels, observes and clock steps
-# must give the same answers and eviction counts as a reference model
-# of vectors and linear scans (exactly-once outcome join, including an
-# observe in flight under the id it reports on, and the cancel answers),
-# and hedge dedup must hold with more than a thousand pairs open at
-# once (no cap on open pairs).
-timeout 300 cargo test -q -p bagpred-serve --lib -- --exact \
-  engine::tests::ledger_model::ledger_matches_the_reference_model \
-  engine::tests::hedge_dedup_holds_past_a_thousand_open_pairs
+echo "== engine core: simulation + reference ledger + uncapped hedge dedup (bounded at 300s) =="
+# The engine core's invariants, run by name on the public sans-IO core
+# so they can never be silently filtered out: a seeded simulation of
+# clients and shard workers on a virtual clock (1,000 seeds; worker
+# panics, slow predicts, hedges, deadlines and cancel races) must
+# conserve every submit per shard and overall, count each hedge pair's
+# serve once, join each outcome at most once, never hold a queue above
+# capacity, never admit a class at or above its own watermark, and leave
+# every other shard's queue waits unchanged when one shard runs ten
+# times slower; every generated sequence of submits, hedges, sheds,
+# takes, serves, failures, cancels, observes and clock steps must give
+# the same answers and evictions (by cause) as a reference model of
+# vectors and linear scans; hedge dedup must hold with more than a
+# thousand pairs open at once; and the brownout rule the fleet simulator
+# shares must be clamped and ordered.
+timeout 300 cargo test -q --test engine_core -- --exact \
+  simulated_engine_conserves_dedups_and_isolates_shards \
+  ledger_model::ledger_matches_the_reference_model \
+  hedge_dedup_holds_past_a_thousand_open_pairs \
+  outcome_evictions_are_counted_by_cause \
+  brownout_limit_is_clamped_and_ordered
 
 echo "== flat traversal: lane-walk bit-identity + edge cases (bounded at 300s) =="
 # The flat-tree traversal invariants, run by name so they can never be
